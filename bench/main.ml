@@ -11,8 +11,9 @@
    (per-phase ms, blocks/s parsed, actor firings/s) so later PRs have a
    perf trajectory to regress against, plus the instrumentation
    overhead on the synthetic flow.  Part 5 runs the multicore scaling
-   study — DSE sweeps and level-parallel SDF execution across 1/2/4
-   domains on random pipeline models — and writes BENCH_parallel.json.
+   study — DSE sweeps across 1/2/4 domains on random pipeline models —
+   and writes BENCH_parallel.json, then times the compiled executor
+   against the reference interpreter into BENCH_exec_compiled.json.
    Part 6 load-tests `umlfront serve` over loopback — 1/4/16 client
    domains against an in-process server — and writes BENCH_serve.json
    (req/s, p50/p95 latency, cache hit ratio per client count).
@@ -543,32 +544,19 @@ let parallel_scaling ~smoke ~outdir () =
   (* A sweep: run [run pool] at each domain count, sequential first as
      the baseline, and check the results stay bit-identical
      (polymorphic equality over the result — floats and all).
-
-     [speedup] is always relative to the {e same} executor at 1 domain
-     (self-scaling); [speedup_vs_seq] is relative to the reference
-     result in [cmp] — by default the sweep's own sequential run (so
-     the two coincide), but a sweep of an alternative executor passes
-     the sequential [Exec.run] baseline there, which is the honest
-     "beats sequential" number.  With [cmp] the identity check also
-     compares every row — including 1 domain — against the reference
-     result instead of the sweep's own baseline. *)
-  let sweep ?cmp (run : ?pool:Pool.t -> unit -> _) =
+     [speedup] and [speedup_vs_seq] are both relative to the 1-domain
+     run; the second column keeps the row shape of the compiled row
+     below, where the reference is [Exec.run]. *)
+  let sweep (run : ?pool:Pool.t -> unit -> _) =
     let baseline, base_ms = best_of reps (fun () -> run ()) in
-    let expected, ref_ms =
-      match cmp with Some (e, m) -> (e, m) | None -> (baseline, base_ms)
-    in
-    let rows =
-      List.map
-        (fun domains ->
-          if domains <= 1 then
-            (domains, base_ms, 1.0, ref_ms /. base_ms, baseline = expected)
-          else
-            Pool.with_pool ~domains (fun pool ->
-                let r, ms = best_of reps (fun () -> run ~pool ()) in
-                (domains, ms, base_ms /. ms, ref_ms /. ms, r = expected)))
-        domain_counts
-    in
-    (rows, baseline, base_ms)
+    List.map
+      (fun domains ->
+        if domains <= 1 then (domains, base_ms, 1.0, 1.0, true)
+        else
+          Pool.with_pool ~domains (fun pool ->
+              let r, ms = best_of reps (fun () -> run ~pool ()) in
+              (domains, ms, base_ms /. ms, base_ms /. ms, r = baseline)))
+      domain_counts
   in
   let print_rows label rows =
     List.iter
@@ -602,12 +590,13 @@ let parallel_scaling ~smoke ~outdir () =
       (fun seed -> Cs.Random_models.pipeline ~seed ~threads ~extra_edges:(threads / 2))
       seeds
   in
-  let dse_rows, _, _ =
-    sweep (fun ?pool () -> List.map (fun m -> Core.Dse.explore ?pool m) models)
-  in
+  let dse_rows = sweep (fun ?pool () -> List.map (fun m -> Core.Dse.explore ?pool m) models) in
   print_rows "dse" dse_rows;
-  (* Level-parallel SDF execution on a wide scatter/gather model —
-     the level width (= branches) is what the executor scales with. *)
+  (* The compiled flat-schedule executor against the reference
+     interpreter on a wide scatter/gather model, both sequential:
+     [identical] means bit-identical to [Exec.run], and
+     [speedup_vs_seq] is the compiled-over-reference ratio — the
+     number the bench gate watches. *)
   let branches = if smoke then 6 else 16 in
   let depth = if smoke then 3 else 6 in
   let rounds = if smoke then 50 else 200 in
@@ -617,29 +606,15 @@ let parallel_scaling ~smoke ~outdir () =
       .Core.Flow.caam
   in
   let sdf = Sdf.of_model caam in
-  let lvls = Exec.levels sdf in
-  let widest = List.fold_left (fun acc l -> max acc (List.length l)) 0 lvls in
-  row "  exec model: %d actors in %d levels (widest %d), %d rounds\n"
-    (List.length sdf.Sdf.actors) (List.length lvls) widest rounds;
-  let exec_rows, exec_outcome, exec_seq_ms =
-    sweep (fun ?pool () -> Exec.run ?pool ~rounds sdf)
-  in
-  print_rows "exec" exec_rows;
-  (* The compiled flat-schedule executor on the same model, diffed
-     against the [Exec.run] baseline: [identical] now means
-     bit-identical to the reference interpreter, and [speedup_vs_seq]
-     is the compiled-over-sequential-reference ratio — the number the
-     bench gate watches. *)
-  let compiled_rows, _, _ =
-    sweep
-      ~cmp:(exec_outcome, exec_seq_ms)
-      (fun ?pool () -> Compiled.run ?pool ~rounds sdf)
+  row "  exec model: %d actors, %d rounds\n" (List.length sdf.Sdf.actors) rounds;
+  let exec_outcome, exec_seq_ms = best_of reps (fun () -> Exec.run ~rounds sdf) in
+  let compiled_outcome, compiled_ms = best_of reps (fun () -> Compiled.run ~rounds sdf) in
+  let compiled_rows =
+    [ (1, compiled_ms, 1.0, exec_seq_ms /. compiled_ms, compiled_outcome = exec_outcome) ]
   in
   print_rows "compiled" compiled_rows;
-  let all_identical =
-    List.for_all (fun (_, _, _, _, id) -> id) (dse_rows @ exec_rows @ compiled_rows)
-  in
-  row "  determinism: parallel results %s sequential baselines\n"
+  let all_identical = List.for_all (fun (_, _, _, _, id) -> id) (dse_rows @ compiled_rows) in
+  row "  determinism: parallel and compiled results %s sequential baselines\n"
     (if all_identical then "bit-identical to" else "DIVERGED from");
   write_json ~outdir "BENCH_parallel.json"
     (Json.Obj
@@ -654,15 +629,6 @@ let parallel_scaling ~smoke ~outdir () =
                ("threads_per_model", Json.Int threads);
                ("sweeps", rows_json dse_rows);
              ] );
-         ( "exec",
-           Json.Obj
-             [
-               ("actors", Json.Int (List.length sdf.Sdf.actors));
-               ("levels", Json.Int (List.length lvls));
-               ("widest_level", Json.Int widest);
-               ("rounds", Json.Int rounds);
-               ("sweeps", rows_json exec_rows);
-             ] );
          ("identical", Json.Bool all_identical);
        ]);
   write_json ~outdir "BENCH_exec_compiled.json"
@@ -675,8 +641,6 @@ let parallel_scaling ~smoke ~outdir () =
            Json.Obj
              [
                ("actors", Json.Int (List.length sdf.Sdf.actors));
-               ("levels", Json.Int (List.length lvls));
-               ("widest_level", Json.Int widest);
                ("rounds", Json.Int rounds);
              ] );
          ("exec_seq_ms", Json.Float exec_seq_ms);

@@ -80,18 +80,28 @@ let rounds_arg =
 
 let jobs_arg =
   let doc =
-    "Compute on $(docv) domains (0 = all the hardware offers). 1 keeps the \
-     run sequential; results are identical either way."
+    "Compute on $(docv) domains (0 = all the hardware offers; larger values \
+     are capped at the hardware's count). 1 keeps the run sequential; results \
+     are identical either way."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+  let non_negative =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | Some _ | None ->
+          Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt non_negative 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
 (* `--engine seq|compiled`: which executor runs the SDF graph — the
    reference interpreter or the compiled flat-schedule one. *)
 let engine_arg =
   let doc =
     "SDF execution engine: $(b,seq) (the reference interpreter) or \
-     $(b,compiled) (the compiled flat-schedule executor; work-stealing \
-     when -j > 1).  Results are bit-identical either way."
+     $(b,compiled) (the compiled flat-schedule executor).  Results are \
+     bit-identical either way."
   in
   Arg.(
     value
@@ -99,11 +109,14 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 (* Run [f] with a domain pool of the requested size ([0] = hardware
-   cores), shut down afterwards.  jobs <= 1 skips pool creation. *)
+   cores), shut down afterwards.  jobs = 1 skips pool creation; more
+   domains than the hardware offers would only time-slice, so the
+   count is capped at [Pool.cpu_count]. *)
 let with_jobs jobs f =
   if jobs = 1 then f None
   else
-    let domains = if jobs <= 0 then Pool.cpu_count () else jobs in
+    let cores = Pool.cpu_count () in
+    let domains = if jobs = 0 then cores else min jobs cores in
     Pool.with_pool ~domains (fun pool -> f (Some pool))
 
 let out_arg =
@@ -301,15 +314,14 @@ let allocate_cmd =
         $ uml_arg $ dot_arg))
 
 let simulate_cmd =
-  let action path strategy cpus rounds csv gantt jobs engine token_json token_dot =
+  let action path strategy cpus rounds csv gantt engine token_json token_dot =
     if token_json <> None || token_dot <> None then Obs.Telemetry.enable ();
     let output = run_flow path strategy cpus in
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
     let outcome =
-      with_jobs jobs (fun pool ->
-          match engine with
-          | `Seq -> Dataflow.Exec.run ?pool ~rounds sdf
-          | `Compiled -> Dataflow.Compiled.run ?pool ~rounds sdf)
+      match engine with
+      | `Seq -> Dataflow.Exec.run ~rounds sdf
+      | `Compiled -> Dataflow.Compiled.run ~rounds sdf
     in
     if csv then print_string (Dataflow.Trace_export.traces_csv outcome)
     else
@@ -359,12 +371,11 @@ let simulate_cmd =
     Term.(
       term_result'
         (const
-           (fun path strategy cpus rounds csv gantt jobs engine token_json token_dot ->
+           (fun path strategy cpus rounds csv gantt engine token_json token_dot ->
              protect (fun () ->
-                 action path strategy cpus rounds csv gantt jobs engine token_json
-                   token_dot))
+                 action path strategy cpus rounds csv gantt engine token_json token_dot))
         $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ csv_arg $ gantt_arg
-        $ jobs_arg $ engine_arg $ token_json_arg $ token_dot_arg))
+        $ engine_arg $ token_json_arg $ token_dot_arg))
 
 let codegen_cmd =
   let action path strategy cpus rounds dir lang =
@@ -505,7 +516,7 @@ let plantuml_cmd =
         $ uml_arg $ dir_arg))
 
 let report_cmd =
-  let action path strategy cpus rounds jobs out =
+  let action path strategy cpus rounds out =
     let uml = load path in
     let strategy = effective_strategy strategy cpus in
     match out with
@@ -523,7 +534,7 @@ let report_cmd =
         let ctx = Obs.Context.create ~trace:true ~telemetry:true () in
         let output = Core.Flow.run ~strategy ~ctx uml in
         let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-        ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~ctx ~rounds sdf));
+        ignore (Dataflow.Exec.run ~ctx ~rounds sdf);
         let html =
           Obs.Context.with_current ctx (fun () ->
               Obs.Html_report.render ~model_name:uml.U.Model.model_name
@@ -545,23 +556,21 @@ let report_cmd =
           timelines, journal tail)")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs out ->
-             protect (fun () -> action path strategy cpus rounds jobs out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ out_arg))
+        (const (fun path strategy cpus rounds out ->
+             protect (fun () -> action path strategy cpus rounds out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ out_arg))
 
 let stats_cmd =
-  let action path strategy cpus rounds jobs format metrics_out =
+  let action path strategy cpus rounds format metrics_out =
     (* Enable the span sink so per-round latency histograms populate;
        keep whatever a surrounding --profile already set up. *)
     if not (Obs.Trace.enabled ()) then Obs.Trace.enable ();
     let output = run_flow path strategy cpus in
     (* Exercise the rest of the pipeline so parser and executor
-       metrics appear alongside the flow's; with --jobs the executor
-       runs level-parallel, so pool occupancy and per-domain firings
-       land in the registry too. *)
+       metrics appear alongside the flow's. *)
     ignore (Umlfront_simulink.Mdl_parser.parse_string output.Core.Flow.mdl);
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-    ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~rounds sdf));
+    ignore (Dataflow.Exec.run ~rounds sdf);
     let snapshot = Obs.Metrics.snapshot () in
     let rendered =
       match format with
@@ -611,17 +620,16 @@ let stats_cmd =
           the metrics registry (text, JSON or OpenMetrics)")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs format metrics_out ->
-             protect (fun () -> action path strategy cpus rounds jobs format metrics_out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ format_arg
-        $ metrics_out_arg))
+        (const (fun path strategy cpus rounds format metrics_out ->
+             protect (fun () -> action path strategy cpus rounds format metrics_out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ format_arg $ metrics_out_arg))
 
 let journal_cmd =
-  let action path strategy cpus rounds jobs kind limit tokens out =
+  let action path strategy cpus rounds kind limit tokens out =
     if tokens then Obs.Telemetry.enable ();
     let output = run_flow path strategy cpus in
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-    ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~rounds sdf));
+    ignore (Dataflow.Exec.run ~rounds sdf);
     let es = Obs.Journal.entries () in
     let es = match kind with Some k -> Obs.Journal.filter ~kind:k es | None -> es in
     let es =
@@ -672,11 +680,10 @@ let journal_cmd =
           JSON Lines")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs kind limit tokens out ->
-             protect (fun () ->
-                 action path strategy cpus rounds jobs kind limit tokens out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ kind_arg
-        $ limit_arg $ tokens_arg $ out_arg))
+        (const (fun path strategy cpus rounds kind limit tokens out ->
+             protect (fun () -> action path strategy cpus rounds kind limit tokens out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ kind_arg $ limit_arg
+        $ tokens_arg $ out_arg))
 
 let bench_diff_cmd =
   let action base current tolerance =
@@ -813,10 +820,10 @@ let conform_format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: text or json.")
 
-(* `--backends seq,par,kpn,c,kpn-src` (default: all). *)
+(* `--backends seq,compiled,kpn,c,kpn-src` (default: all). *)
 let backends_arg =
   let doc =
-    "Comma-separated backends to check: seq, par, compiled, kpn, c, kpn-src \
+    "Comma-separated backends to check: seq, compiled, kpn, c, kpn-src \
      (default: all)."
   in
   Arg.(value & opt (some string) None & info [ "backends" ] ~docv:"LIST" ~doc)
@@ -834,7 +841,7 @@ let parse_backends = function
 
 let conform_cmd =
   let module Conf = Umlfront_conformance.Conform in
-  let action path backends engine rounds strategy cpus jobs format =
+  let action path backends engine rounds strategy cpus format =
     let backends = parse_backends backends in
     (* A .mdl input is checked as-is — that is how a fuzz-corpus
        minimized counterexample reproduces faithfully, without the
@@ -844,9 +851,7 @@ let conform_cmd =
         Umlfront_simulink.Mdl_parser.parse_file path
       else (run_flow path strategy cpus).Core.Flow.caam
     in
-    let report =
-      with_jobs jobs (fun pool -> Conf.check ?backends ~engine ~rounds ?pool caam)
-    in
+    let report = Conf.check ?backends ~engine ~rounds caam in
     (match format with
     | `Text -> print_string (Conf.render report)
     | `Json -> print_endline (Obs.Json.to_string (Conf.to_json report)));
@@ -860,16 +865,15 @@ let conform_cmd =
     (Cmd.info "conform"
        ~doc:
          "Differential conformance check: run the model through every backend \
-          (sequential, parallel, compiled, KPN, generated C, emitted KPN source) \
+          (sequential, compiled, KPN, generated C, emitted KPN source) \
           and diff the traces against the SDF reference executor; exit non-zero \
           on disagreement")
     Term.(
       term_result'
-        (const (fun path backends engine rounds strategy cpus jobs format ->
-             protect (fun () ->
-                 action path backends engine rounds strategy cpus jobs format))
+        (const (fun path backends engine rounds strategy cpus format ->
+             protect (fun () -> action path backends engine rounds strategy cpus format))
         $ model_arg $ backends_arg $ engine_arg $ rounds_arg $ strategy_arg $ cpus_arg
-        $ jobs_arg $ conform_format_arg))
+        $ conform_format_arg))
 
 let serve_cmd =
   let module Server = Umlfront_serve.Server in

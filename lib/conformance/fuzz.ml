@@ -4,7 +4,6 @@ module Capture = Umlfront_core.Capture
 module Lint = Umlfront_analysis.Lint
 module Xmi = Umlfront_uml.Xmi
 module Mdl_writer = Umlfront_simulink.Mdl_writer
-module Pool = Umlfront_parallel.Pool
 module Obs = Umlfront_obs
 
 type case = {
@@ -104,43 +103,38 @@ let run ?backends ?engine ?(rounds = 10) ?(shrink = true) ?corpus ?corrupt ?prog
   let state = Random.State.make [| seed; 0x5eed |] in
   let checked = ref 0 and skipped = ref 0 in
   let failures = ref [] in
-  Pool.with_pool ~domains:2 (fun pool ->
-      for index = 0 to count - 1 do
-        let shape, gen = shapes.(index mod Array.length shapes) in
-        let case_seed = Random.State.int state 1_000_000 in
-        let uml = gen (Random.State.make [| case_seed |]) case_seed in
-        match
-          let caam = (Flow.run uml).Flow.caam in
-          if Lint.check ~uml caam = [] then Some caam else None
-        with
-        | None | (exception Invalid_argument _) -> incr skipped
-        | Some caam ->
-            let report = Conform.check ?backends ?engine ~rounds ~pool ?corrupt caam in
-            incr checked;
-            let case = { index; case_seed; shape; uml; caam; report } in
-            (match progress with Some f -> f case | None -> ());
-            if not (Conform.agree report) then (
-              let failing = List.map fst (Conform.disagreements report) in
-              let minimized, shrink_stats =
-                if shrink then (
-                  let repro m =
-                    not
-                      (Conform.agree
-                         (Conform.check ~backends:failing ?engine ~rounds ~pool ?corrupt
-                            m))
-                  in
-                  let m, stats = Shrink.minimize ~repro caam in
-                  (m, Some stats))
-                else (caam, None)
+  for index = 0 to count - 1 do
+    let shape, gen = shapes.(index mod Array.length shapes) in
+    let case_seed = Random.State.int state 1_000_000 in
+    let uml = gen (Random.State.make [| case_seed |]) case_seed in
+    match
+      let caam = (Flow.run uml).Flow.caam in
+      if Lint.check ~uml caam = [] then Some caam else None
+    with
+    | None | (exception Invalid_argument _) -> incr skipped
+    | Some caam ->
+        let report = Conform.check ?backends ?engine ~rounds ?corrupt caam in
+        incr checked;
+        let case = { index; case_seed; shape; uml; caam; report } in
+        (match progress with Some f -> f case | None -> ());
+        if not (Conform.agree report) then (
+          let failing = List.map fst (Conform.disagreements report) in
+          let minimized, shrink_stats =
+            if shrink then (
+              let repro m =
+                not (Conform.agree (Conform.check ~backends:failing ?engine ~rounds ?corrupt m))
               in
-              let corpus_dir =
-                Option.map
-                  (fun corpus ->
-                    write_corpus ~corpus ~rounds ~seed ~count case minimized)
-                  corpus
-              in
-              failures := { case; minimized; shrink_stats; corpus_dir } :: !failures)
-      done);
+              let m, stats = Shrink.minimize ~repro caam in
+              (m, Some stats))
+            else (caam, None)
+          in
+          let corpus_dir =
+            Option.map
+              (fun corpus -> write_corpus ~corpus ~rounds ~seed ~count case minimized)
+              corpus
+          in
+          failures := { case; minimized; shrink_stats; corpus_dir } :: !failures)
+  done;
   Obs.Metrics.incr "conform.fuzz.cases" ~by:!checked;
   Obs.Metrics.incr "conform.fuzz.skipped" ~by:!skipped;
   Obs.Metrics.incr "conform.fuzz.failures" ~by:(List.length !failures);

@@ -15,34 +15,12 @@
    repetition vector is all-ones and the steady-state bound per edge is
    one in-flight token, plus one more on UnitDelay edges for the
    initial token that breaks the cycle (cf. Analysis.Sdf_rules
-   .buffer_bounds, which computes the same 1/2 slots).  The sequential
-   engine allocates exactly those capacities and exercises the FIFO
-   discipline (push/pop with wraparound) every round.  The batched
-   parallel engine widens each ring to the batch window (batch slots
-   forward, batch+1 on delay edges, rounded to powers of two) so a
-   producer may run ahead of a consumer within a batch: slot r mod cap
-   holds round r's token, and within any window of batch consecutive
-   rounds all live slots are distinct.
-
-   Parallel scheduling: instead of [Exec]'s barrier per dependency
-   level, rounds are batched per synchronization point and every
-   (actor, round) pair becomes a node of a precedence DAG.  A node's
-   in-degree counts its same-round non-delay input edges, plus — for
-   rounds after the first of the batch — its delay input edges (the
-   producer fired in the previous round) and one self-dependency that
-   serializes the actor's own firings (the per-actor scratch buffers
-   demand it).  Workers pull ready nodes from per-worker Chase–Lev
-   deques ([Umlfront_parallel.Wsdeque]), steal when dry, spin briefly
-   and then park on a condition variable; the worker that completes
-   the batch broadcasts.  Determinism needs no commit phase for data
-   (every token has exactly one writer and one tracked reader); token
-   telemetry is replayed in topological order once per batch, exactly
-   the stream the sequential engine records inline. *)
+   .buffer_bounds, which computes the same 1/2 slots).  The executor
+   allocates exactly those capacities and exercises the FIFO
+   discipline (push/pop with wraparound) every round. *)
 
 module S = Umlfront_simulink.System
 module B = Umlfront_simulink.Block
-module Pool = Umlfront_parallel.Pool
-module Wsdeque = Umlfront_parallel.Wsdeque
 module Obs = Umlfront_obs
 
 (* --- token storage --------------------------------------------------- *)
@@ -80,9 +58,6 @@ module Fifo = struct
     let v = t.buf.(t.head land t.mask) in
     t.head <- t.head + 1;
     v
-
-  let set_slot t i v = t.buf.(i land t.mask) <- v
-  let get_slot t i = t.buf.(i land t.mask)
 end
 
 (* --- compilation ----------------------------------------------------- *)
@@ -120,13 +95,10 @@ type plan = {
   delay_init : float array;
   e_sp : int array; (* per edge: source port *)
   e_dp : int array; (* per edge: destination port *)
-  e_dst_id : int array;
   e_delay : bool array; (* source actor is a UnitDelay *)
   in_edges : int array array; (* per actor, in Sdf.preds order *)
   out_edges : int array array; (* per actor, in Sdf.succs order *)
   order : int array; (* topological firing order *)
-  nd_in : int array; (* non-delay in-edge count *)
-  d_in : int array; (* delay in-edge count *)
   trace_of : int array; (* actor id -> graph_outputs index, or -1 *)
   outputs : string array; (* graph_outputs *)
   tele_in : string array array; (* per actor: pred channel names *)
@@ -195,7 +167,6 @@ let compile (sdf : Sdf.t) =
   let edges = Array.of_list sdf.Sdf.edges in
   let e_sp = Array.map (fun (e : Sdf.edge) -> e.Sdf.edge_src_port) edges in
   let e_dp = Array.map (fun (e : Sdf.edge) -> e.Sdf.edge_dst_port) edges in
-  let e_dst_id = Array.map (fun (e : Sdf.edge) -> id_of e.Sdf.edge_dst) edges in
   let e_delay = Array.map (fun (e : Sdf.edge) -> is_delay.(id_of e.Sdf.edge_src)) edges in
   (* Positional scan over [sdf.edges] keeps each per-actor edge list in
      exactly Sdf.preds/succs order (they are order-preserving filters),
@@ -208,16 +179,6 @@ let compile (sdf : Sdf.t) =
     edges;
   let in_edges = Array.map (fun l -> Array.of_list (List.rev l)) in_buf in
   let out_edges = Array.map (fun l -> Array.of_list (List.rev l)) out_buf in
-  let nd_in = Array.make n 0 and d_in = Array.make n 0 in
-  Array.iter
-    (fun ie ->
-      ignore
-        (Array.iter
-           (fun j ->
-             if e_delay.(j) then d_in.(e_dst_id.(j)) <- d_in.(e_dst_id.(j)) + 1
-             else nd_in.(e_dst_id.(j)) <- nd_in.(e_dst_id.(j)) + 1)
-           ie))
-    in_edges;
   let outputs = Array.of_list sdf.Sdf.graph_outputs in
   let trace_of = Array.make n (-1) in
   Array.iteri (fun k name -> trace_of.(id_of name) <- k) outputs;
@@ -235,13 +196,10 @@ let compile (sdf : Sdf.t) =
         actors;
     e_sp;
     e_dp;
-    e_dst_id;
     e_delay;
     in_edges;
     out_edges;
     order = Array.of_list (List.map id_of order_names);
-    nd_in;
-    d_in;
     trace_of;
     outputs;
     tele_in =
@@ -305,19 +263,11 @@ let compute_fixed op (ins : float array) (outs : float array) n_prod =
 
 let no_sfunctions : string -> (float array -> float array) option = fun _ -> None
 
-let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~rounds p =
-  if batch < 1 then invalid_arg "Compiled.run: batch < 1";
+let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?ctx ~rounds p =
   (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
   @@ fun () ->
-  let par = match pool with Some pl when Pool.size pl > 1 -> Some pl | _ -> None in
-  let domains = match par with Some pl -> Pool.size pl | None -> 1 in
   Obs.Trace.with_span ~cat:"exec" "compiled.run"
-    ~args:(fun () ->
-      [
-        ("rounds", Obs.Json.Int rounds);
-        ("actors", Obs.Json.Int p.n);
-        ("domains", Obs.Json.Int domains);
-      ])
+    ~args:(fun () -> [ ("rounds", Obs.Json.Int rounds); ("actors", Obs.Json.Int p.n) ])
   @@ fun () ->
   Obs.Journal.record "compiled.run"
     ~fields:
@@ -325,29 +275,15 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
         ("rounds", Obs.Json.Int rounds);
         ("actors", Obs.Json.Int p.n);
         ("edges", Obs.Json.Int (Array.length p.e_sp));
-        ("domains", Obs.Json.Int domains);
-        ("batch", Obs.Json.Int (if par = None then 1 else batch));
       ];
   let stimulus = Option.value stimulus ~default:Exec.default_stimulus in
-  let rec pow2 k n = if k >= n then k else pow2 (k * 2) n in
-  (* Sequential: the exact Lee–Messerschmitt capacities.  Parallel:
-     widened to the batch window so in-flight rounds never share a
-     slot (delay edges hold one extra, initial, token). *)
-  let fwd_cap, delay_cap =
-    match par with None -> (1, 2) | Some _ -> (pow2 1 batch, pow2 1 (batch + 1))
-  in
-  let rings =
-    Array.map (fun d -> Fifo.create ~capacity:(if d then delay_cap else fwd_cap)) p.e_delay
-  in
+  (* The exact Lee–Messerschmitt capacities: delay edges hold one
+     extra, initial, token. *)
+  let rings = Array.map (fun d -> Fifo.create ~capacity:(if d then 2 else 1)) p.e_delay in
   (* Initial tokens: one per UnitDelay out-edge, readable in round 0. *)
   for i = 0 to p.n - 1 do
     if p.is_delay.(i) then
-      Array.iter
-        (fun e ->
-          match par with
-          | None -> Fifo.push rings.(e) p.delay_init.(i)
-          | Some _ -> Fifo.set_slot rings.(e) 0 p.delay_init.(i))
-        p.out_edges.(i)
+      Array.iter (fun e -> Fifo.push rings.(e) p.delay_init.(i)) p.out_edges.(i)
   done;
   let ins_scratch =
     Array.init p.n (fun i ->
@@ -365,7 +301,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
      Exec.record_tokens: consume the pred channels, produce one stamped
      token per succ edge; the firing index equals round + 1 because the
      graph is single-rate. *)
-  let replay_tokens i round =
+  let record_tokens i round =
     let name = p.names.(i) in
     let firing = round + 1 in
     let ti = p.tele_in.(i) in
@@ -381,8 +317,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
   let resolve_sfunction fn ins n_outs =
     match sfunctions fn with Some f -> f ins | None -> Exec.default_sfunction fn ins n_outs
   in
-  (* ---- sequential flat interpreter: FIFO push/pop discipline ---- *)
-  let gather_seq i =
+  let gather i =
     let ins = ins_scratch.(i) in
     let ie = p.in_edges.(i) in
     for k = 0 to Array.length ie - 1 do
@@ -393,7 +328,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
     done;
     ins
   in
-  let scatter_seq i produced (arr : float array) =
+  let scatter i produced (arr : float array) =
     let oe = p.out_edges.(i) in
     for k = 0 to Array.length oe - 1 do
       let e = oe.(k) in
@@ -401,8 +336,8 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
       Fifo.push rings.(e) (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0)
     done
   in
-  let fire_seq i round =
-    let ins = gather_seq i in
+  let fire i round =
+    let ins = gather i in
     (match p.ops.(i) with
     | Op_delay ->
         (* The ring still holds this round's (older) token; pushing the
@@ -415,202 +350,35 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
     | Op_inport ->
         let outs = outs_scratch.(i) in
         outs.(0) <- stimulus p.names.(i) round;
-        scatter_seq i 1 outs
+        scatter i 1 outs
     | Op_outport ->
         let v = if Array.length ins > 0 then ins.(0) else 0.0 in
         let t = p.trace_of.(i) in
         if t >= 0 then trace_arrays.(t).(round) <- v;
-        scatter_seq i 0 ins
+        scatter i 0 ins
     | Op_sfunction fn ->
         let res = resolve_sfunction fn ins p.n_outs.(i) in
-        scatter_seq i (Array.length res) res
+        scatter i (Array.length res) res
     | op ->
         let outs = outs_scratch.(i) in
         compute_fixed op ins outs p.n_prod.(i);
-        scatter_seq i p.n_prod.(i) outs);
-    if tracing then replay_tokens i round
+        scatter i p.n_prod.(i) outs);
+    if tracing then record_tokens i round
   in
-  let run_sequential () =
-    for round = 0 to rounds - 1 do
-      let t0 = if observing then Obs.Trace.now_us () else 0.0 in
-      let ord = p.order in
-      for k = 0 to Array.length ord - 1 do
-        fire_seq ord.(k) round
-      done;
-      if observing then Obs.Metrics.observe "compiled.round_us" (Obs.Trace.now_us () -. t0)
-    done
-  in
-  (* ---- batched work-stealing parallel engine ---- *)
-  let fire_par i gr =
-    (* [gr] is the global round; ring slots are indexed by it. *)
-    let ins = ins_scratch.(i) in
-    let ie = p.in_edges.(i) in
-    for k = 0 to Array.length ie - 1 do
-      let e = ie.(k) in
-      let v = Fifo.get_slot rings.(e) gr in
-      let dp = p.e_dp.(e) in
-      if dp >= 1 && dp <= Array.length ins then ins.(dp - 1) <- v
+  let ord = p.order in
+  for round = 0 to rounds - 1 do
+    let t0 = if observing then Obs.Trace.now_us () else 0.0 in
+    for k = 0 to Array.length ord - 1 do
+      fire ord.(k) round
     done;
-    let scatter produced (arr : float array) =
-      let oe = p.out_edges.(i) in
-      for k = 0 to Array.length oe - 1 do
-        let e = oe.(k) in
-        let sp = p.e_sp.(e) in
-        Fifo.set_slot rings.(e) gr (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0)
-      done
-    in
-    match p.ops.(i) with
-    | Op_delay ->
-        let v = if Array.length ins > 0 then ins.(0) else 0.0 in
-        let oe = p.out_edges.(i) in
-        for k = 0 to Array.length oe - 1 do
-          Fifo.set_slot rings.(oe.(k)) (gr + 1) v
-        done
-    | Op_inport ->
-        let outs = outs_scratch.(i) in
-        outs.(0) <- stimulus p.names.(i) gr;
-        scatter 1 outs
-    | Op_outport ->
-        let v = if Array.length ins > 0 then ins.(0) else 0.0 in
-        let t = p.trace_of.(i) in
-        if t >= 0 then trace_arrays.(t).(gr) <- v;
-        scatter 0 ins
-    | Op_sfunction fn ->
-        let res = resolve_sfunction fn ins p.n_outs.(i) in
-        scatter (Array.length res) res
-    | op ->
-        let outs = outs_scratch.(i) in
-        compute_fixed op ins outs p.n_prod.(i);
-        scatter p.n_prod.(i) outs
-  in
-  let run_parallel pl =
-    let w = Pool.size pl in
-    let bsz = batch in
-    let node_count = max 1 (p.n * bsz) in
-    let deques = Array.init w (fun _ -> Wsdeque.create ~capacity:node_count) in
-    let pending = Array.init (p.n * bsz) (fun _ -> Atomic.make 0) in
-    let remaining = Atomic.make 0 in
-    let sleepers = Atomic.make 0 in
-    let idle_m = Mutex.create () in
-    let idle_c = Condition.create () in
-    let wake_all () =
-      Mutex.lock idle_m;
-      Condition.broadcast idle_c;
-      Mutex.unlock idle_m
-    in
-    let exec_node wid base r_count node =
-      let i = node / bsz and r = node mod bsz in
-      fire_par i (base + r);
-      let dq = deques.(wid) in
-      let dec target =
-        if Atomic.fetch_and_add pending.(target) (-1) = 1 then begin
-          Wsdeque.push dq target;
-          if Atomic.get sleepers > 0 then wake_all ()
-        end
-      in
-      let oe = p.out_edges.(i) in
-      if p.is_delay.(i) then begin
-        (* a delay's token is read one round later *)
-        if r + 1 < r_count then
-          for k = 0 to Array.length oe - 1 do
-            dec ((p.e_dst_id.(oe.(k)) * bsz) + r + 1)
-          done
-      end
-      else
-        for k = 0 to Array.length oe - 1 do
-          dec ((p.e_dst_id.(oe.(k)) * bsz) + r)
-        done;
-      if r + 1 < r_count then dec (node + 1);
-      if Atomic.fetch_and_add remaining (-1) = 1 then wake_all ()
-    in
-    let worker base r_count wid =
-      let q = deques.(wid) in
-      let steal_once () =
-        let rec go k =
-          if k >= w then None
-          else
-            match Wsdeque.steal deques.((wid + k) mod w) with
-            | Some _ as r -> r
-            | None -> go (k + 1)
-        in
-        go 1
-      in
-      let rec loop spin =
-        if Atomic.get remaining > 0 then
-          match Wsdeque.pop q with
-          | Some node ->
-              exec_node wid base r_count node;
-              loop 0
-          | None -> (
-              match steal_once () with
-              | Some node ->
-                  exec_node wid base r_count node;
-                  loop 0
-              | None ->
-                  if spin < 100 then begin
-                    Domain.cpu_relax ();
-                    loop (spin + 1)
-                  end
-                  else begin
-                    (* Park until more work is published or the batch
-                       drains; the remaining-check under the lock makes
-                       the final broadcast impossible to miss. *)
-                    Mutex.lock idle_m;
-                    Atomic.incr sleepers;
-                    if Atomic.get remaining > 0 then Condition.wait idle_c idle_m;
-                    Atomic.decr sleepers;
-                    Mutex.unlock idle_m;
-                    loop 0
-                  end)
-      in
-      loop 0
-    in
-    let nbatches = (rounds + bsz - 1) / bsz in
-    for b = 0 to nbatches - 1 do
-      let base = b * bsz in
-      let r_count = min bsz (rounds - base) in
-      Array.iter Wsdeque.reset deques;
-      for i = 0 to p.n - 1 do
-        let indeg_rest = p.nd_in.(i) + p.d_in.(i) + 1 in
-        for r = 0 to r_count - 1 do
-          Atomic.set pending.((i * bsz) + r) (if r = 0 then p.nd_in.(i) else indeg_rest)
-        done
-      done;
-      Atomic.set remaining (p.n * r_count);
-      let seed = ref 0 in
-      for i = 0 to p.n - 1 do
-        if p.nd_in.(i) = 0 then begin
-          Wsdeque.push deques.(!seed mod w) (i * bsz);
-          incr seed
-        end
-      done;
-      let t0 = if observing then Obs.Trace.now_us () else 0.0 in
-      Pool.parallel_for pl w (worker base r_count);
-      if observing then begin
-        Obs.Metrics.observe "compiled.batch_us" (Obs.Trace.now_us () -. t0);
-        Obs.Metrics.incr "compiled.batches"
-      end;
-      if tracing then
-        for r = base to base + r_count - 1 do
-          let ord = p.order in
-          for k = 0 to Array.length ord - 1 do
-            replay_tokens ord.(k) r
-          done
-        done
-    done
-  in
-  (match par with None -> run_sequential () | Some pl -> run_parallel pl);
+    if observing then Obs.Metrics.observe "compiled.round_us" (Obs.Trace.now_us () -. t0)
+  done;
   let firings = List.map (fun name -> (name, rounds)) (Array.to_list p.names) in
   Obs.Metrics.incr "compiled.rounds" ~by:rounds;
   Obs.Metrics.incr "compiled.firings" ~by:(p.n * rounds);
   Exec.channel_metrics p.p_sdf rounds;
   Obs.Journal.record "compiled.done"
-    ~fields:
-      [
-        ("rounds", Obs.Json.Int rounds);
-        ("firings", Obs.Json.Int (p.n * rounds));
-        ("parallel", Obs.Json.Bool (par <> None));
-      ];
+    ~fields:[ ("rounds", Obs.Json.Int rounds); ("firings", Obs.Json.Int (p.n * rounds)) ];
   if Obs.Telemetry.enabled () then
     List.iter
       (fun (s : Obs.Telemetry.channel_stat) ->
@@ -631,5 +399,5 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
     firings;
   }
 
-let run ?sfunctions ?stimulus ?pool ?ctx ?batch ~rounds sdf =
-  run_plan ?sfunctions ?stimulus ?pool ?ctx ?batch ~rounds (compile sdf)
+let run ?sfunctions ?stimulus ?ctx ~rounds sdf =
+  run_plan ?sfunctions ?stimulus ?ctx ~rounds (compile sdf)

@@ -11,28 +11,15 @@
     the delay's initial token) — and then runs a steady-state loop
     that allocates nothing per round.
 
-    With a real domain pool the level barriers of [Exec.run ?pool] are
-    replaced by work-stealing over the precedence DAG: rounds are
-    batched per synchronization point, every (actor, round) firing is
-    a node whose in-degree counts its unsatisfied inputs, and workers
-    pull ready nodes from per-worker {!Umlfront_parallel.Wsdeque}s,
-    stealing when their own runs dry.  Ring capacities scale with the
-    batch window so a producer can run ahead of a consumer within the
-    batch without overwriting live tokens.
-
-    Either way the outcome is bit-identical to {!Exec.run}: the same
-    float operations in the same order per actor, the same default
-    stimulus, S-function fallback and unconnected-port semantics, and
-    the same deterministic token-telemetry stream (replayed in
-    topological commit order at each synchronization point, exactly as
-    the level-parallel executor records it). *)
+    The outcome is bit-identical to {!Exec.run}: the same float
+    operations in the same order per actor, the same default stimulus,
+    S-function fallback and unconnected-port semantics, and the same
+    deterministic token-telemetry stream, recorded in topological
+    firing order. *)
 
 (** Bounded single-producer single-consumer FIFOs over preallocated
     float rings — the compiled executor's token storage.  [push]/[pop]
-    enforce the Lee–Messerschmitt capacity; the [_slot] accessors are
-    the unchecked positional view the batched parallel engine uses,
-    where the static schedule (not a runtime head/tail) proves every
-    access in bounds. *)
+    enforce the Lee–Messerschmitt capacity. *)
 module Fifo : sig
   type t
 
@@ -54,17 +41,12 @@ module Fifo : sig
 
   val pop : t -> float
   (** Oldest token.  @raise Empty when none is buffered. *)
-
-  val set_slot : t -> int -> float -> unit
-  (** [set_slot t i v] writes ring slot [i mod ring-size] directly. *)
-
-  val get_slot : t -> int -> float
 end
 
 type plan
 (** A compiled graph: dense actor/edge numbering, per-actor opcodes
-    with resolved parameters, the topological firing order, and the
-    precedence-DAG shape.  Compile once, run many times. *)
+    with resolved parameters and the topological firing order.
+    Compile once, run many times. *)
 
 val compile : Sdf.t -> plan
 (** @raise Exec.Deadlock on a zero-delay dependency cycle (the same
@@ -73,28 +55,20 @@ val compile : Sdf.t -> plan
 val run_plan :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
-  ?pool:Umlfront_parallel.Pool.t ->
   ?ctx:Umlfront_obs.Context.t ->
-  ?batch:int ->
   rounds:int ->
   plan ->
   Exec.outcome
 (** Execute a compiled plan.  Same optional arguments and semantics as
-    {!Exec.run}; [batch] (default 32, parallel mode only) is how many
-    rounds each work-stealing phase covers between synchronization
-    points. *)
+    {!Exec.run}. *)
 
 val run :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
-  ?pool:Umlfront_parallel.Pool.t ->
   ?ctx:Umlfront_obs.Context.t ->
-  ?batch:int ->
   rounds:int ->
   Sdf.t ->
   Exec.outcome
 (** [compile] + {!run_plan}: the drop-in replacement for {!Exec.run}.
-    With [pool] of size > 1 the batched work-stealing engine runs;
-    otherwise the sequential flat interpreter does.  The outcome —
-    traces, firings, rounds — is bit-identical to {!Exec.run} on the
-    same inputs in both modes. *)
+    The outcome — traces, firings, rounds — is bit-identical to
+    {!Exec.run} on the same inputs. *)

@@ -10,8 +10,8 @@
      speedup — higher is better — plus the parallel-determinism flag,
      which must not turn false;
    - umlfront-bench-exec-compiled/1: the compiled executor against the
-     sequential reference — speedup_vs_seq per domain count (higher is
-     better), wall-clock ms, and the bit-identity flag;
+     sequential reference — speedup_vs_seq (higher is better),
+     wall-clock ms, and the bit-identity flag;
    - umlfront-bench-serve/1: per client count (matched by [clients]),
      req/s — higher is better — and p50/p95 latency ms — lower is
      better — plus the cache hit ratio, which is a counting property
@@ -160,25 +160,21 @@ let sweep_rows section doc =
 (* --- umlfront-bench-parallel/1 -------------------------------------- *)
 
 let parallel_findings ~tolerance base current =
-  let per_section section =
-    let base_rows = sweep_rows section base in
-    List.concat_map
-      (fun (domains, cur) ->
-        match List.assoc_opt domains base_rows with
-        | None -> []
-        | Some old ->
-            let label = Printf.sprintf "%s.%dd" section domains in
-            (* Timing and speedup say nothing on a machine without the
-               domains; bit-identity must hold on any machine. *)
-            (if provisioned ~base ~current domains then
-               num_finding ~tolerance ~direction:Lower_better "ms" label old cur
-               @ num_finding ~tolerance ~direction:Higher_better "speedup" label old
-                   cur
-             else [])
-            @ identical_finding label old cur)
-      (sweep_rows section current)
-  in
-  per_section "dse" @ per_section "exec"
+  let base_rows = sweep_rows "dse" base in
+  List.concat_map
+    (fun (domains, cur) ->
+      match List.assoc_opt domains base_rows with
+      | None -> []
+      | Some old ->
+          let label = Printf.sprintf "dse.%dd" domains in
+          (* Timing and speedup say nothing on a machine without the
+             domains; bit-identity must hold on any machine. *)
+          (if provisioned ~base ~current domains then
+             num_finding ~tolerance ~direction:Lower_better "ms" label old cur
+             @ num_finding ~tolerance ~direction:Higher_better "speedup" label old cur
+           else [])
+          @ identical_finding label old cur)
+    (sweep_rows "dse" current)
 
 (* --- umlfront-bench-exec-compiled/1 ---------------------------------- *)
 

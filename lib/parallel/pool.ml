@@ -202,34 +202,3 @@ let map_array ?(chunk = 1) t f arr =
   end
 
 let map ?chunk t f xs = Array.to_list (map_array ?chunk t f (Array.of_list xs))
-
-let parallel_for ?(chunk = 1) t n f =
-  if n <= 0 then ()
-  else if sequential t || n = 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else begin
-    Obs.Metrics.incr "pool.maps";
-    let chunk, chunks = chunk_bounds ~chunk n in
-    let failure = Atomic.make None in
-    run_batch t chunks (fun c ->
-        let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-        for i = lo to hi - 1 do
-          match f i with
-          | () -> ()
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              (* keep the earliest-index failure *)
-              let rec put () =
-                let cur = Atomic.get failure in
-                let keep = match cur with Some (j, _, _) -> j < i | None -> false in
-                if not keep then
-                  if not (Atomic.compare_and_set failure cur (Some (i, e, bt))) then put ()
-              in
-              put ()
-        done);
-    match Atomic.get failure with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end

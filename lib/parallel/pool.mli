@@ -3,8 +3,8 @@
     The pool is hand-rolled on [Domain], [Mutex] and [Condition] — no
     dependencies beyond the OCaml 5 standard library.  [create
     ~domains:n] spawns [n - 1] worker domains; the calling domain is
-    the [n]-th worker and helps drain the task queue during {!map} and
-    {!parallel_for}, so a pool of size [n] really computes on [n]
+    the [n]-th worker and helps drain the task queue during {!map},
+    so a pool of size [n] really computes on [n]
     domains.
 
     Determinism: {!map} returns results in input order, whatever order
@@ -65,7 +65,3 @@ val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
     cheap [f]; any [chunk >= 1] yields the same result. *)
 
 val map_array : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-val parallel_for : ?chunk:int -> t -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f 0 .. f (n-1)], in parallel across
-    the pool.  Returns when all iterations have completed. *)

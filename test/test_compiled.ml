@@ -1,10 +1,7 @@
 (* The compiled flat-schedule executor: ring-buffer FIFO discipline,
-   bit-identity with the reference interpreter in both the sequential
-   and the batched work-stealing mode, telemetry parity, and the
-   property over every random model shape at several domain counts. *)
+   bit-identity with the reference interpreter, telemetry parity, and
+   the property over every random model shape. *)
 
-module Pool = Umlfront_parallel.Pool
-module Wsdeque = Umlfront_parallel.Wsdeque
 module Core = Umlfront_core
 module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
@@ -73,29 +70,6 @@ let fifo_non_pow2_capacity () =
   | () -> Alcotest.fail "expected Full at logical capacity");
   check (Alcotest.float 0.0) "order kept" 1.0 (Fifo.pop f)
 
-let fifo_slot_view () =
-  let f = Fifo.create ~capacity:4 in
-  (* slots address the ring positionally, mod its (pow2) size *)
-  Fifo.set_slot f 2 9.0;
-  check (Alcotest.float 0.0) "slot read" 9.0 (Fifo.get_slot f 2);
-  check (Alcotest.float 0.0) "slot wraps" 9.0 (Fifo.get_slot f 6)
-
-(* --- the deque ------------------------------------------------------ *)
-
-let wsdeque_lifo_owner_fifo_thief () =
-  let q = Wsdeque.create ~capacity:8 in
-  Wsdeque.push q 1;
-  Wsdeque.push q 2;
-  Wsdeque.push q 3;
-  check (Alcotest.option Alcotest.int) "steal takes oldest" (Some 1) (Wsdeque.steal q);
-  check (Alcotest.option Alcotest.int) "pop takes newest" (Some 3) (Wsdeque.pop q);
-  check (Alcotest.option Alcotest.int) "last item" (Some 2) (Wsdeque.pop q);
-  check (Alcotest.option Alcotest.int) "empty pop" None (Wsdeque.pop q);
-  check (Alcotest.option Alcotest.int) "empty steal" None (Wsdeque.steal q);
-  Wsdeque.push q 4;
-  Wsdeque.reset q;
-  check (Alcotest.option Alcotest.int) "reset empties" None (Wsdeque.pop q)
-
 (* --- bit-identity with the reference -------------------------------- *)
 
 let outcomes_equal name (a : Exec.outcome) (b : Exec.outcome) =
@@ -123,36 +97,8 @@ let compiled_sequential_matches_reference () =
     (fun (name, caam) ->
       let sdf = Sdf.of_model caam in
       let seq = Exec.run ~rounds:25 sdf in
-      outcomes_equal name seq (Compiled.run ~rounds:25 sdf);
-      (* a 1-domain pool takes the sequential flat path too *)
-      Pool.with_pool ~domains:1 (fun pool ->
-          outcomes_equal (name ^ " seq-pool") seq (Compiled.run ~pool ~rounds:25 sdf)))
+      outcomes_equal name seq (Compiled.run ~rounds:25 sdf))
     (case_studies ())
-
-let compiled_parallel_matches_reference () =
-  List.iter
-    (fun (name, caam) ->
-      let sdf = Sdf.of_model caam in
-      let seq = Exec.run ~rounds:25 sdf in
-      Pool.with_pool ~domains:4 (fun pool ->
-          outcomes_equal (name ^ " @4") seq (Compiled.run ~pool ~rounds:25 sdf)))
-    (case_studies ())
-
-(* The batch size only affects scheduling, never the outcome — in
-   particular when rounds is not a multiple of the batch. *)
-let compiled_batch_size_is_invisible () =
-  let sdf =
-    Sdf.of_model (Core.Flow.run (Cs.Crane_system.model ())).Core.Flow.caam
-  in
-  let seq = Exec.run ~rounds:25 sdf in
-  Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun batch ->
-          outcomes_equal
-            (Printf.sprintf "batch %d" batch)
-            seq
-            (Compiled.run ~pool ~batch ~rounds:25 sdf))
-        [ 1; 3; 25; 32; 100 ])
 
 let compiled_honours_stimulus_and_sfunctions () =
   let sdf =
@@ -161,10 +107,7 @@ let compiled_honours_stimulus_and_sfunctions () =
   let stimulus name round = float_of_int (String.length name * round) in
   let sfunctions _ = Some (fun ins -> [| Array.fold_left ( +. ) 2.0 ins |]) in
   let seq = Exec.run ~sfunctions ~stimulus ~rounds:12 sdf in
-  outcomes_equal "custom hooks" seq (Compiled.run ~sfunctions ~stimulus ~rounds:12 sdf);
-  Pool.with_pool ~domains:2 (fun pool ->
-      outcomes_equal "custom hooks @2" seq
-        (Compiled.run ~sfunctions ~stimulus ~pool ~rounds:12 sdf))
+  outcomes_equal "custom hooks" seq (Compiled.run ~sfunctions ~stimulus ~rounds:12 sdf)
 
 let compile_deadlocks_like_the_reference () =
   (* a zero-delay cycle; the crane model with its UnitDelay removed is
@@ -175,14 +118,14 @@ let compile_deadlocks_like_the_reference () =
   (* sanity: the delay-broken loop compiles and runs *)
   outcomes_equal "cyclic runs" (Exec.run ~rounds:8 sdf) (Compiled.run ~rounds:8 sdf)
 
-let token_stream pool_opt sdf rounds run =
+let token_stream sdf rounds run =
   T.enable ();
   Fun.protect
     ~finally:(fun () ->
       T.disable ();
       T.reset ())
     (fun () ->
-      ignore (run ?pool:pool_opt ~rounds sdf : Exec.outcome);
+      ignore (run ~rounds sdf : Exec.outcome);
       List.map (fun (t : T.token) -> t.T.prov) (T.tokens ()))
 
 (* Token provenance must be the exact stream the reference records:
@@ -192,25 +135,12 @@ let compiled_telemetry_matches_reference () =
     Sdf.of_model (Core.Flow.run (Cs.Crane_system.model ())).Core.Flow.caam
   in
   let rounds = 6 in
-  let reference =
-    token_stream None sdf rounds (fun ?pool ~rounds sdf -> Exec.run ?pool ~rounds sdf)
-  in
+  let reference = token_stream sdf rounds (fun ~rounds sdf -> Exec.run ~rounds sdf) in
   check Alcotest.bool "reference saw tokens" true (reference <> []);
-  let compiled_seq =
-    token_stream None sdf rounds (fun ?pool ~rounds sdf ->
-        Compiled.run ?pool ~rounds sdf)
-  in
-  check Alcotest.bool "sequential telemetry identical" true
-    (reference = compiled_seq);
-  Pool.with_pool ~domains:2 (fun pool ->
-      let compiled_par =
-        token_stream (Some pool) sdf rounds (fun ?pool ~rounds sdf ->
-            Compiled.run ?pool ~batch:4 ~rounds sdf)
-      in
-      check Alcotest.bool "parallel telemetry identical" true
-        (reference = compiled_par))
+  let compiled = token_stream sdf rounds (fun ~rounds sdf -> Compiled.run ~rounds sdf) in
+  check Alcotest.bool "telemetry identical" true (reference = compiled)
 
-(* --- the property: every shape, several domain counts --------------- *)
+(* --- the property: every shape --------------------------------------- *)
 
 let shapes =
   [|
@@ -242,7 +172,7 @@ let shapes =
 let qcheck_compiled_matches_reference_on_random_models =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
-       ~name:"compiled == Exec.run on every shape at 1, 2 and 4 domains" ~count:30
+       ~name:"compiled == Exec.run on every shape" ~count:30
        (QCheck.make
           ~print:(fun (shape, seed) -> Printf.sprintf "%d:%s" seed (fst shapes.(shape)))
           QCheck.Gen.(pair (int_bound (Array.length shapes - 1)) (int_bound 99_999)))
@@ -254,15 +184,8 @@ let qcheck_compiled_matches_reference_on_random_models =
          | sdf ->
              let rounds = 11 in
              let seq = Exec.run ~rounds sdf in
-             let same (o : Exec.outcome) =
-               o.Exec.traces = seq.Exec.traces && o.Exec.firings = seq.Exec.firings
-             in
-             same (Compiled.run ~rounds sdf)
-             && List.for_all
-                  (fun domains ->
-                    Pool.with_pool ~domains (fun pool ->
-                        same (Compiled.run ~pool ~batch:4 ~rounds sdf)))
-                  [ 1; 2; 4 ]))
+             let o = Compiled.run ~rounds sdf in
+             o.Exec.traces = seq.Exec.traces && o.Exec.firings = seq.Exec.firings))
 
 let suite =
   [
@@ -272,13 +195,8 @@ let suite =
         test "fifo: Full and Empty are enforced" fifo_full_and_empty_raise;
         test "fifo: wraparound keeps FIFO order" fifo_wraparound;
         test "fifo: non-power-of-two logical capacity" fifo_non_pow2_capacity;
-        test "fifo: positional slot view wraps" fifo_slot_view;
-        test "wsdeque: owner LIFO, thief FIFO" wsdeque_lifo_owner_fifo_thief;
         test "sequential compiled == reference on the case studies"
           compiled_sequential_matches_reference;
-        test "work-stealing compiled == reference on the case studies"
-          compiled_parallel_matches_reference;
-        test "batch size never changes the outcome" compiled_batch_size_is_invisible;
         test "custom stimulus and s-functions are honoured"
           compiled_honours_stimulus_and_sfunctions;
         test "delay-broken cycles execute" compile_deadlocks_like_the_reference;

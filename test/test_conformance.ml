@@ -63,13 +63,7 @@ let engine_tests =
                     Alcotest.fail
                       (Printf.sprintf "%s: backend %s did not agree" name
                          (Conform.backend_name b)))
-              [
-                Conform.Seq;
-                Conform.Par;
-                Conform.Compiled_exec;
-                Conform.Kpn;
-                Conform.Kpn_src;
-              ])
+              [ Conform.Seq; Conform.Compiled_exec; Conform.Kpn; Conform.Kpn_src ])
           case_studies);
     test "a corrupted backend is caught with round and port" (fun () ->
         let report =
@@ -223,8 +217,7 @@ let rec rm_rf path =
     Sys.rmdir path)
   else Sys.remove path
 
-let fast_backends =
-  [ Conform.Seq; Conform.Par; Conform.Compiled_exec; Conform.Kpn; Conform.Kpn_src ]
+let fast_backends = [ Conform.Seq; Conform.Compiled_exec; Conform.Kpn; Conform.Kpn_src ]
 
 let fuzz_tests =
   [

@@ -163,41 +163,24 @@ let sum_counters prefix stats =
       else acc)
     0 stats
 
-(* exec.firings.d<i>: one increment per firing, on whichever domain ran
-   it — only the level-parallel executor emits them, so a d-digit
-   prefix filter keeps actor-name counters (exec.firings.<actor>) out. *)
-let domain_firings stats =
-  List.fold_left
-    (fun acc (s : Obs.Metrics.stat) ->
-      let n = String.length "exec.firings.d" in
-      if
-        String.starts_with ~prefix:"exec.firings.d" s.Obs.Metrics.s_name
-        && String.length s.Obs.Metrics.s_name > n
-        && (match s.Obs.Metrics.s_name.[n] with '0' .. '9' -> true | _ -> false)
-      then acc + s.Obs.Metrics.s_count
-      else acc)
-    0 stats
-
+(* A pooled DSE sweep inside a context: every candidate platform runs
+   one [Flow.run] (one [flow.runs] increment) on whichever domain drew
+   its task, in that domain's forked child context.  The merge-back
+   must land every one of them in [ctx] and none in the default. *)
 let pool_folds_workers_back () =
   Pool.with_pool ~domains:3 @@ fun pool ->
-  let global_before = domain_firings (snapshot_in Obs.Context.default) in
+  let global_before = counter_in Obs.Context.default "flow.runs" in
   let ctx = Obs.Context.create ~trace:true () in
-  let output = Core.Flow.run ~ctx (CS.Crane_system.model ()) in
-  let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-  let rounds = 8 in
-  let outcome = Dataflow.Exec.run ~pool ~ctx ~rounds sdf in
-  let total_firings =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 outcome.Dataflow.Exec.firings
-  in
-  let stats = snapshot_in ctx in
-  (* per-domain worker counters merged back equal the total firings *)
-  check Alcotest.int "per-domain firings sum to the total" total_firings
-    (domain_firings stats);
-  checkb "pool task counters folded into the context"
-    (sum_counters "pool.tasks" stats > 0);
-  (* and none of it leaked into the global default context *)
-  check Alcotest.int "no firings leaked to the default registry" global_before
-    (domain_firings (snapshot_in Obs.Context.default))
+  let uml = CS.Crane_system.model () in
+  let platforms = List.length (Umlfront_uml.Model.threads uml) in
+  ignore (Core.Dse.explore ~pool ~ctx uml);
+  check Alcotest.int "one parallel sweep" 1 (counter_in ctx "dse.parallel_sweeps");
+  check Alcotest.int "per-candidate flow runs sum to the platforms swept" platforms
+    (counter_in ctx "flow.runs");
+  check Alcotest.int "one pool task per candidate" platforms
+    (sum_counters "pool.tasks.d" (snapshot_in ctx));
+  check Alcotest.int "nothing leaked to the default registry" global_before
+    (counter_in Obs.Context.default "flow.runs")
 
 let suite =
   [

@@ -510,7 +510,7 @@ let parallel_bench_doc ~ms ~identical =
   Json.Obj
     [
       ("schema", Json.String "umlfront-bench-parallel/1");
-      ( "exec",
+      ( "dse",
         Json.Obj
           [
             ( "sweeps",
@@ -537,13 +537,13 @@ let bench_diff_parallel_schema () =
   in
   (* Wall-clock is lower-better: +40% ms regresses, -40% ms does not. *)
   (match diff (parallel_bench_doc ~ms:140.0 ~identical:true) with
-  | [ f ] -> check Alcotest.string "metric" "exec.2d.ms" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "metric" "dse.2d.ms" f.BD.f_metric
   | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
   check Alcotest.int "faster is fine" 0
     (List.length (diff (parallel_bench_doc ~ms:60.0 ~identical:true)));
   (* Losing parallel determinism is always a regression. *)
   match diff (parallel_bench_doc ~ms:100.0 ~identical:false) with
-  | [ f ] -> check Alcotest.string "metric" "exec.2d.identical" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "metric" "dse.2d.identical" f.BD.f_metric
   | l -> Alcotest.failf "expected the identical-flag regression, got %d" (List.length l)
 
 (* A parallel doc that records how many domains the runner had. *)
@@ -577,7 +577,7 @@ let bench_diff_skips_underprovisioned_sweeps () =
        ~base:(parallel_bench_doc_hw ~hw:4 ~ms:100.0 ~identical:true)
        ~current:(parallel_bench_doc_hw ~hw:4 ~ms:500.0 ~identical:true)
    with
-  | [ f ] -> check Alcotest.string "provisioned runner is judged" "exec.2d.ms" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "provisioned runner is judged" "dse.2d.ms" f.BD.f_metric
   | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
   match
     diff
@@ -586,7 +586,7 @@ let bench_diff_skips_underprovisioned_sweeps () =
   with
   | [ f ] ->
       check Alcotest.string "identity judged even under-provisioned"
-        "exec.2d.identical" f.BD.f_metric
+        "dse.2d.identical" f.BD.f_metric
   | l -> Alcotest.failf "expected the identical-flag regression, got %d" (List.length l)
 
 let exec_compiled_doc ~hw ~vs_seq_1d ~ms_2d ~identical =

@@ -1,8 +1,8 @@
 (* Umlfront_parallel: pool semantics (order preservation, chunking,
-   exception propagation, sequential fallback) and the determinism
-   guarantees of the parallel DSE sweep and the level-parallel SDF
-   executor — the parallel paths must be bit-identical to their
-   sequential counterparts. *)
+   exception propagation, sequential fallback), the dependency levels
+   of the SDF graph, the determinism of the parallel DSE sweep — it
+   must be bit-identical to the sequential one — and the CLI's `-j`
+   handling. *)
 
 module Pool = Umlfront_parallel.Pool
 module Core = Umlfront_core
@@ -63,15 +63,6 @@ let exception_propagates_earliest () =
       check Alcotest.(list int) "pool still alive" [ 1; 2; 3 ]
         (Pool.map pool succ [ 0; 1; 2 ]))
 
-let parallel_for_covers_all_indices () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let n = 200 in
-      let hits = Array.make n 0 in
-      Pool.parallel_for ~chunk:9 pool n (fun i -> hits.(i) <- hits.(i) + 1);
-      check Alcotest.(array int) "each index exactly once" (Array.make n 1) hits;
-      Alcotest.check_raises "exceptions propagate" (Failure "pf") (fun () ->
-          Pool.parallel_for pool 5 (fun i -> if i = 2 then failwith "pf")))
-
 let nested_map_degrades_to_sequential () =
   Pool.with_pool ~domains:3 (fun pool ->
       let result =
@@ -108,26 +99,17 @@ let qcheck_map_is_list_map =
 
 (* --- dependency levels --------------------------------------------- *)
 
-(* Accumulator with a UnitDelay on the feedback edge (same shape as
-   test_dataflow's counter). *)
-let counter ?(with_delay = true) () =
+(* An accumulator whose feedback edge runs through an identity Gain
+   instead of a UnitDelay: a zero-delay cycle. *)
+let zero_delay_counter () =
   let root = S.empty "m" in
   let root = S.add_block ~params:[ ("Value", B.P_float 1.0) ] root B.Constant "one" in
   let root = S.add_block ~params:[ ("Inputs", B.P_string "++") ] root B.Sum "acc" in
   let root = S.add_block ~params:[ ("Port", B.P_int 1) ] root B.Outport "out" in
+  let root = S.add_block ~params:[ ("Gain", B.P_float 1.0) ] root B.Gain "idg" in
   let root = S.add_line root ~src:(pr "one" 1) ~dst:(pr "acc" 1) in
-  let root =
-    if with_delay then (
-      let root =
-        S.add_block ~params:[ ("InitialCondition", B.P_float 0.0) ] root B.Unit_delay "z"
-      in
-      let root = S.add_line root ~src:(pr "acc" 1) ~dst:(pr "z" 1) in
-      S.add_line root ~src:(pr "z" 1) ~dst:(pr "acc" 2))
-    else
-      let root = S.add_block ~params:[ ("Gain", B.P_float 1.0) ] root B.Gain "idg" in
-      let root = S.add_line root ~src:(pr "acc" 1) ~dst:(pr "idg" 1) in
-      S.add_line root ~src:(pr "idg" 1) ~dst:(pr "acc" 2)
-  in
+  let root = S.add_line root ~src:(pr "acc" 1) ~dst:(pr "idg" 1) in
+  let root = S.add_line root ~src:(pr "idg" 1) ~dst:(pr "acc" 2) in
   let root = S.add_line root ~src:(pr "acc" 1) ~dst:(pr "out" 1) in
   Model.make ~name:"counter" root
 
@@ -162,42 +144,13 @@ let levels_partition_firing_order () =
     sdf.Sdf.actors
 
 let levels_deadlock_on_zero_delay_cycle () =
-  let sdf = Sdf.of_model (counter ~with_delay:false ()) in
+  let sdf = Sdf.of_model (zero_delay_counter ()) in
   match Exec.levels sdf with
   | exception Exec.Deadlock cycle ->
       check Alcotest.bool "mentions acc" true (List.mem "acc" cycle)
   | _ -> Alcotest.fail "expected Deadlock"
 
-(* --- determinism: parallel == sequential, bit for bit -------------- *)
-
-let outcomes_equal name (a : Exec.outcome) (b : Exec.outcome) =
-  check Alcotest.int (name ^ " rounds") a.Exec.rounds b.Exec.rounds;
-  check
-    Alcotest.(list (pair string (array (float 0.0))))
-    (name ^ " traces (bit-identical)") a.Exec.traces b.Exec.traces;
-  check
-    Alcotest.(list (pair string int))
-    (name ^ " firings") a.Exec.firings b.Exec.firings
-
-let exec_level_parallel_is_deterministic () =
-  let cases =
-    [
-      ("crane", (Core.Flow.run ~strategy:Core.Flow.Use_deployment (Cs.Crane_system.model ())).Core.Flow.caam);
-      ("synthetic", (Core.Flow.run ~strategy:Core.Flow.Infer_linear (Cs.Synthetic_system.model ())).Core.Flow.caam);
-      ("wide-random", (Core.Flow.run ~strategy:Core.Flow.Infer_linear (Cs.Random_models.wide ~seed:5 ~branches:4 ~depth:3)).Core.Flow.caam);
-      ("counter", counter ());
-    ]
-  in
-  List.iter
-    (fun (name, caam) ->
-      let sdf = Sdf.of_model caam in
-      let seq = Exec.run ~rounds:25 sdf in
-      Pool.with_pool ~domains:4 (fun pool ->
-          outcomes_equal name seq (Exec.run ~pool ~rounds:25 sdf));
-      (* a sequential pool takes the plain path and matches too *)
-      Pool.with_pool ~domains:1 (fun pool ->
-          outcomes_equal (name ^ " seq-pool") seq (Exec.run ~pool ~rounds:25 sdf)))
-    cases
+(* --- determinism: parallel DSE == sequential, bit for bit ---------- *)
 
 let candidates_equal name (a : Core.Dse.result) (b : Core.Dse.result) =
   check Alcotest.bool (name ^ " candidates bit-identical") true
@@ -234,6 +187,62 @@ let wide_random_model_is_well_formed () =
   let widest = List.fold_left (fun acc l -> max acc (List.length l)) 0 lvls in
   check Alcotest.bool "widest level >= branches" true (widest >= 3)
 
+(* --- the CLI's -j ---------------------------------------------------- *)
+
+let exe = Filename.concat ".." (Filename.concat "bin" "umlfront.exe")
+
+(* `dse -j 8` asks for more domains than a small box has: the pool the
+   run actually built (the [pool.domains] gauge in the --profile
+   metrics) is capped at the hardware's count. *)
+let dse_jobs_capped_at_hardware () =
+  let model = Filename.temp_file "umlfront_jobs" ".xml" in
+  let profile = Filename.temp_file "umlfront_jobs" ".json" in
+  Umlfront_uml.Xmi.save (Cs.Crane_system.model ()) model;
+  let code =
+    Sys.command
+      (Printf.sprintf "%s dse %s -j 8 --profile %s >%s 2>&1" exe (Filename.quote model)
+         (Filename.quote profile) Filename.null)
+  in
+  let text = In_channel.with_open_bin profile In_channel.input_all in
+  Sys.remove model;
+  Sys.remove profile;
+  check Alcotest.int "exit" 0 code;
+  let module Json = Umlfront_obs.Json in
+  let metrics =
+    match Json.parse text with
+    | Ok doc ->
+        Option.bind (Json.member "otherData" doc) (Json.member "metrics")
+        |> Option.fold ~none:[] ~some:Json.items
+    | Error e -> Alcotest.fail e
+  in
+  let domains =
+    List.find_map
+      (fun m ->
+        if Json.member "name" m = Some (Json.String "pool.domains") then
+          Option.bind (Json.member "value" m) Json.number
+        else None)
+      metrics
+  in
+  check
+    Alcotest.(option (float 0.0))
+    "pool.domains"
+    (Some (float_of_int (min 8 (Pool.cpu_count ()))))
+    domains
+
+let negative_jobs_rejected () =
+  let model = Filename.temp_file "umlfront_jobs" ".xml" in
+  Umlfront_uml.Xmi.save (Cs.Crane_system.model ()) model;
+  List.iter
+    (fun flag ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s dse %s %s >%s 2>&1" exe (Filename.quote model) flag
+             Filename.null)
+      in
+      check Alcotest.int flag 124 code)
+    [ "-j -1"; "--jobs=-1" ];
+  Sys.remove model
+
 let suite =
   [
     ( "parallel",
@@ -244,19 +253,17 @@ let suite =
         test "pool reuse across batches" pool_reuse_across_batches;
         test "exception from a worker propagates (earliest input)"
           exception_propagates_earliest;
-        test "parallel_for covers all indices exactly once"
-          parallel_for_covers_all_indices;
         test "nested map degrades to sequential" nested_map_degrades_to_sequential;
         test "map_array matches Array.map" map_array_matches;
         qcheck_map_is_list_map;
         test "levels partition the firing order" levels_partition_firing_order;
         test "levels raise Deadlock on zero-delay cycles"
           levels_deadlock_on_zero_delay_cycle;
-        test "level-parallel exec is bit-identical to sequential"
-          exec_level_parallel_is_deterministic;
         test "parallel DSE sweep is bit-identical to sequential"
           dse_parallel_sweep_is_deterministic;
         test "wide random model is well-formed and wide"
           wide_random_model_is_well_formed;
+        test "dse -j is capped at the hardware's domain count" dse_jobs_capped_at_hardware;
+        test "a negative -j is a usage error (exit 124)" negative_jobs_rejected;
       ] );
   ]

@@ -391,9 +391,9 @@ let get server target = Client.get ~port:(Server.port server) target
 
 let exe = Filename.concat ".." (Filename.concat "bin" "umlfront.exe")
 
-let run_cli args =
+let run_cli ?(stderr = Filename.null) args =
   let out = Filename.temp_file "umlfront_serve" ".out" in
-  let code = Sys.command (Printf.sprintf "%s %s >%s 2>/dev/null" exe args out) in
+  let code = Sys.command (Printf.sprintf "%s %s >%s 2>%s" exe args out stderr) in
   let s = read_file out in
   Sys.remove out;
   (code, s)
@@ -467,6 +467,22 @@ let e2e_tests =
         let r = post s "/api/conform?backends=seq,compiled&rounds=5" xmi in
         check Alcotest.int "200" 200 r.Client.status;
         check Alcotest.string "identical bytes" cli r.Client.body);
+    test "backend `par` is unknown to the CLI and the API alike"
+      (fun () ->
+        with_server @@ fun s ->
+        let xmi = Lazy.force crane_xmi in
+        let file = save_xmi xmi in
+        let err = Filename.temp_file "umlfront_serve" ".err" in
+        let code, _ = run_cli ~stderr:err ("conform --backends par " ^ Filename.quote file) in
+        let msg = read_file err in
+        Sys.remove file;
+        Sys.remove err;
+        check Alcotest.int "cli exits 124" 124 code;
+        List.iter
+          (fun b -> checkb ("cli lists " ^ b) (Astring_contains.contains msg b))
+          [ "\"par\""; "seq"; "compiled"; "kpn"; "kpn-src" ];
+        check Alcotest.int "api 400" 400
+          (post s "/api/conform?backends=par" xmi).Client.status);
     test "malformed XMI is 422 with a UF901 diagnostic body" (fun () ->
         with_server @@ fun s ->
         let r = post s "/api/lint" "<uml:Model" in
