@@ -917,7 +917,7 @@ let serve_cmd =
     Arg.(value & opt int 8080 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
   in
   let pool_arg =
-    let doc = "Worker domains handling requests (0 serves on the acceptor)." in
+    let doc = "Worker domains computing /api requests (0 computes on the I/O loop)." in
     Arg.(value & opt int 2 & info [ "pool" ] ~docv:"N" ~doc)
   in
   let cache_arg =
@@ -932,7 +932,11 @@ let serve_cmd =
     Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
   let timeout_arg =
-    let doc = "Per-request compute deadline in seconds (503 beyond it)." in
+    let doc =
+      "Per-request compute deadline in seconds (503 beyond it); also closes a \
+       connection that has not completed a request within $(docv) of accept or \
+       of its previous reply."
+    in
     Arg.(value & opt float 30. & info [ "timeout" ] ~docv:"SECONDS" ~doc)
   in
   let access_log_arg =

@@ -56,26 +56,18 @@ let create ~path =
 (* Enqueue one line (the newline is added here).  Returns false when
    the queue was full and the line was dropped. *)
 let append t line =
-  Mutex.lock t.lock;
-  let ok =
-    if t.stopping || Queue.length t.queue >= t.bound then begin
-      t.dropped <- t.dropped + 1;
-      false
-    end
-    else begin
-      Queue.add (line ^ "\n") t.queue;
-      Condition.signal t.cond;
-      true
-    end
-  in
-  Mutex.unlock t.lock;
-  ok
+  Mutex.protect t.lock @@ fun () ->
+  if t.stopping || Queue.length t.queue >= t.bound then begin
+    t.dropped <- t.dropped + 1;
+    false
+  end
+  else begin
+    Queue.add (line ^ "\n") t.queue;
+    Condition.signal t.cond;
+    true
+  end
 
-let dropped t =
-  Mutex.lock t.lock;
-  let n = t.dropped in
-  Mutex.unlock t.lock;
-  n
+let dropped t = Mutex.protect t.lock (fun () -> t.dropped)
 
 (* Flush what is queued and join the writer.  Idempotent-ish: a second
    close finds [stopping] already set and the domain already joined by

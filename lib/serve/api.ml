@@ -122,18 +122,17 @@ let diagnostic_body d =
   Json.to_string (Json.List [ A.Diagnostic.list_to_json [ d ] ]) ^ "\n"
 
 let parse_model body =
+  let malformed message =
+    Error
+      (A.Diagnostic.error ~code:"UF901" ~path:[ "request"; "body" ]
+         ~hint:"POST the XMI text of a UML model, as written by `umlfront example`"
+         ("malformed XMI" ^ message))
+  in
   match U.Xmi.of_string body with
   | model -> Ok model
   | exception Umlfront_xml.Xml.Parse_error { line; column; message } ->
-      Error
-        (A.Diagnostic.error ~code:"UF901" ~path:[ "request"; "body" ]
-           ~hint:"POST the XMI text of a UML model, as written by `umlfront example`"
-           (Printf.sprintf "malformed XMI at %d:%d: %s" line column message))
-  | exception (Failure m | Invalid_argument m) ->
-      Error
-        (A.Diagnostic.error ~code:"UF901" ~path:[ "request"; "body" ]
-           ~hint:"POST the XMI text of a UML model, as written by `umlfront example`"
-           (Printf.sprintf "malformed XMI: %s" m))
+      malformed (Printf.sprintf " at %d:%d: %s" line column message)
+  | exception (Failure m | Invalid_argument m) -> malformed (": " ^ m)
 
 (* --- cache identity -------------------------------------------------- *)
 

@@ -64,6 +64,9 @@ val parse_model :
 (** Parse request-body XMI.  Malformed input comes back as a
     [Diagnostic.t] with code [UF901] for a 422 response. *)
 
+val diagnostic_body : Umlfront_analysis.Diagnostic.t -> string
+(** One diagnostic as a 422 body, in the lint endpoint's JSON shape. *)
+
 val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> string
 (** SHA-256 hex over endpoint + canonical options +
     {!Umlfront_core.Flow.cache_material} — equal keys guarantee equal

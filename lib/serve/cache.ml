@@ -46,9 +46,7 @@ let create ~max_bytes =
     evictions = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 (* Entry cost: the payload plus the key stored twice (table + node)
    plus a fixed allowance for the node and table slot. *)

@@ -28,19 +28,23 @@ let read_to_eof fd =
   in
   loop ()
 
+let head_end raw =
+  let rec find i =
+    if i + 3 >= String.length raw then None
+    else if String.sub raw i 4 = "\r\n\r\n" then Some i
+    else find (i + 1)
+  in
+  find 0
+
 (* Parse "HTTP/1.1 200 OK\r\nName: value\r\n...\r\n\r\nbody".  The body
    is everything after the head: the request always said [Connection:
    close], so EOF delimits it (Content-Length is cross-checked when
    present). *)
 let parse_response raw =
   let head_end =
-    let rec find i =
-      if i + 3 >= String.length raw then
-        failwith "serve_client: response head not terminated"
-      else if String.sub raw i 4 = "\r\n\r\n" then i
-      else find (i + 1)
-    in
-    find 0
+    match head_end raw with
+    | Some i -> i
+    | None -> failwith "serve_client: response head not terminated"
   in
   let head = String.sub raw 0 head_end in
   let body = String.sub raw (head_end + 4) (String.length raw - head_end - 4) in
@@ -125,7 +129,7 @@ let trace ~port id = get ~port ("/api/trace/" ^ id)
 let healthz ~port = get ~port "/healthz"
 
 (* [/events] never ends on its own, so the one-shot [request] helper
-   does not fit: stream on a raw socket with a receive timeout, feed
+   does not fit: stream on a non-blocking raw socket, feed
    the shared {!Sse} parser, and stop at [max_events] frames or
    [timeout_s] seconds, whichever comes first. *)
 let events ?(max_events = 3) ?(timeout_s = 5.0) ~port () =
@@ -134,12 +138,11 @@ let events ?(max_events = 3) ?(timeout_s = 5.0) ~port () =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25
-       with Unix.Unix_error _ -> ());
       let head =
         "GET /events HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
       in
       write_all fd head 0 (String.length head);
+      Unix.set_nonblock fd;
       let deadline = Unix.gettimeofday () +. timeout_s in
       let parser = Sse.parser () in
       let buf = Bytes.create 8192 in
@@ -150,7 +153,10 @@ let events ?(max_events = 3) ?(timeout_s = 5.0) ~port () =
         if List.length !collected >= max_events then ()
         else if Unix.gettimeofday () > deadline then ()
         else
-          match Unix.read fd buf 0 (Bytes.length buf) with
+          match
+            ignore (Unix.select [ fd ] [] [] (Float.max 0. (deadline -. Unix.gettimeofday ())));
+            Unix.read fd buf 0 (Bytes.length buf)
+          with
           | 0 -> ()
           | n ->
               let chunk = Bytes.sub_string buf 0 n in
@@ -159,17 +165,10 @@ let events ?(max_events = 3) ?(timeout_s = 5.0) ~port () =
                 else begin
                   Buffer.add_string pending_head chunk;
                   let all = Buffer.contents pending_head in
-                  match
-                    let rec find i =
-                      if i + 3 >= String.length all then None
-                      else if String.sub all i 4 = "\r\n\r\n" then Some (i + 4)
-                      else find (i + 1)
-                    in
-                    find 0
-                  with
-                  | Some body_start ->
+                  match head_end all with
+                  | Some i ->
                       in_body := true;
-                      String.sub all body_start (String.length all - body_start)
+                      String.sub all (i + 4) (String.length all - i - 4)
                   | None -> ""
                 end
               in

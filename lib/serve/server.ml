@@ -1,17 +1,15 @@
-(* The serving daemon.  Transport and scheduling only — everything a
-   request *means* lives in {!Api} (pure), {!Http} (codec) and
-   {!Cache} (memoization), which is what keeps this file small enough
-   to audit: accept, admit, decode, dispatch, observe, reply.
+(* The serving daemon.  Scheduling only — sockets belong to {!Loop},
+   and everything a request *means* lives in {!Api} (pure), {!Http}
+   (codec) and {!Cache} (memoization), which is what keeps this file
+   small enough to audit: dispatch, compute, observe, reply.
 
-   Threading model: the acceptor domain owns the listening socket and
-   does admission control; each accepted connection becomes one
-   fire-and-forget pool task that handles the whole keep-alive
-   conversation.  The only cross-domain state is the cache (its own
-   mutex), the in-flight counter (atomic), the root telemetry context
-   (merged into under [root_lock]) and the observability fan-out —
-   rolling window, trace store, access log and SSE hub, each behind its
-   own lock, and the latter two doing their I/O on their own domains so
-   the request path never waits on a disk or a slow stream consumer. *)
+   Threading model: one I/O domain runs the {!Loop}, which owns every
+   socket.  It answers the cheap routes itself and hands each complete
+   compute request to the pool; the worker computes and renders the
+   reply, then posts it back to the loop, which writes it.  The only
+   cross-domain state is the cache (its own mutex), the root telemetry
+   context (merged into under [root_lock]), the trace store (its own
+   lock) and the access log, whose writer domain does the disk I/O. *)
 
 module Obs = Umlfront_obs
 module Json = Umlfront_obs.Json
@@ -42,71 +40,41 @@ let default_config =
 
 type t = {
   config : config;
-  listener : Unix.file_descr;
   bound_port : int;
   root : Obs.Context.t;
   root_lock : Mutex.t;
   cache : Cache.t;
   workers : Pool.t;
-  inflight_count : int Atomic.t;
-  request_count : int Atomic.t;
-  stopping : bool Atomic.t;
+  loop : Loop.t;
+  mutable requests : int; (* loop domain only *)
   started_at : float;
   window : Obs.Window.t;
   traces : Trace_store.t;
-  hub : Events_hub.t;
   access : Access_log.t option;
-  mutable acceptor : unit Domain.t option;
+  mutable io : unit Domain.t option;
 }
 
 let port t = t.bound_port
 let root t = t.root
 let cache_stats t = Cache.stats t.cache
-let inflight t = Atomic.get t.inflight_count
+let inflight t = Loop.inflight t.loop
 let window t = t.window
-let subscribers t = Events_hub.subscribers t.hub
-let events_dropped t = Events_hub.dropped t.hub
+let subscribers t = Loop.subscribers t.loop
+let events_dropped t = Loop.dropped t.loop
 let access_log_dropped t =
   match t.access with Some log -> Access_log.dropped log | None -> 0
 
-(* --- socket plumbing -------------------------------------------------- *)
-
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-(* A dead peer (EPIPE/ECONNRESET) is not a server error: drop the
-   bytes, the connection loop closes right after. *)
-let send fd s =
-  match write_all fd s 0 (String.length s) with
-  | () -> ()
-  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-
 (* --- request handling ------------------------------------------------- *)
 
-let json_error status message =
-  (status, "application/json",
-   Json.to_string (Json.Obj [ ("error", Json.String message) ]) ^ "\n")
+let json_error ?hint message =
+  let hint = Option.to_list (Option.map (fun h -> ("hint", Json.String h)) hint) in
+  Json.to_string (Json.Obj (("error", Json.String message) :: hint)) ^ "\n"
 
 let overload_body =
-  Json.to_string
-    (Json.Obj
-       [
-         ("error", Json.String "server overloaded");
-         ("hint", Json.String "retry after the interval in Retry-After");
-       ])
-  ^ "\n"
+  json_error ~hint:"retry after the interval in Retry-After" "server overloaded"
 
 let timeout_body =
-  Json.to_string
-    (Json.Obj
-       [
-         ("error", Json.String "request deadline exceeded");
-         ("hint", Json.String "raise --timeout or simplify the model");
-       ])
-  ^ "\n"
+  json_error ~hint:"raise --timeout or simplify the model" "request deadline exceeded"
 
 (* Everything the observability fan-out wants to know about one served
    request, next to the response itself. *)
@@ -134,20 +102,11 @@ let reply ?(headers = []) ?(cache = "-") ?(spans = 0) ?model
     r_trace_stored = trace_stored;
   }
 
-let reply_error status message =
-  let status, ct, body = json_error status message in
-  reply status ct body
+let reply_error ?headers status message =
+  reply ?headers status "application/json" (json_error message)
 
-let observe_request t ~endpoint ~status ~cache_state ~dur_us =
-  let r = t.root.Obs.Context.metrics in
-  Obs.Metrics.incr ~registry:r "serve.requests";
-  Obs.Metrics.incr ~registry:r (Printf.sprintf "serve.status.%dxx" (status / 100));
-  Obs.Metrics.incr ~registry:r ("serve.endpoint." ^ endpoint);
-  (match cache_state with
-  | Some true -> Obs.Metrics.incr ~registry:r "serve.cache.hit"
-  | Some false -> Obs.Metrics.incr ~registry:r "serve.cache.miss"
-  | None -> ());
-  Obs.Metrics.observe ~registry:r "serve.request_us" dur_us
+let method_not_allowed allow =
+  reply_error ~headers:[ ("Allow", allow) ] 405 "method not allowed"
 
 (* Deterministic sampling on the request counter: rate 0.25 keeps every
    request whose id falls in the first quarter of each block of 1000.
@@ -194,16 +153,10 @@ let hit_event =
    optional span-tree retention. *)
 let compute t ~request_id ~trace_id endpoint (req : Http.request) =
   match Api.options_of_query req.Http.query with
-  | Error msg ->
-      let status, ct, body = json_error 400 msg in
-      reply status ct body
+  | Error msg -> reply_error 400 msg
   | Ok opts -> (
       match Api.parse_model req.Http.body with
-      | Error d ->
-          reply 422 "application/json"
-            (Json.to_string
-               (Json.List [ Umlfront_analysis.Diagnostic.list_to_json [ d ] ])
-            ^ "\n")
+      | Error d -> reply 422 "application/json" (Api.diagnostic_body d)
       | Ok uml -> (
           let key = Api.cache_key endpoint opts uml in
           let retain = opts.Api.trace || sampled t request_id in
@@ -275,18 +228,17 @@ let compute t ~request_id ~trace_id endpoint (req : Http.request) =
 let metrics_body t =
   let r = t.root.Obs.Context.metrics in
   let c = Cache.stats t.cache in
-  Obs.Metrics.set_gauge ~registry:r "serve.cache.hits" (float_of_int c.Cache.hits);
-  Obs.Metrics.set_gauge ~registry:r "serve.cache.misses"
-    (float_of_int c.Cache.misses);
-  Obs.Metrics.set_gauge ~registry:r "serve.cache.evictions"
-    (float_of_int c.Cache.evictions);
-  Obs.Metrics.set_gauge ~registry:r "serve.cache.entries"
-    (float_of_int c.Cache.entries);
-  Obs.Metrics.set_gauge ~registry:r "serve.cache.bytes" (float_of_int c.Cache.bytes);
-  Obs.Metrics.set_gauge ~registry:r "serve.inflight"
-    (float_of_int (Atomic.get t.inflight_count));
-  Obs.Metrics.set_gauge ~registry:r "serve.events.subscribers"
-    (float_of_int (Events_hub.subscribers t.hub));
+  List.iter
+    (fun (name, v) -> Obs.Metrics.set_gauge ~registry:r name (float_of_int v))
+    [
+      ("serve.cache.hits", c.Cache.hits);
+      ("serve.cache.misses", c.Cache.misses);
+      ("serve.cache.evictions", c.Cache.evictions);
+      ("serve.cache.entries", c.Cache.entries);
+      ("serve.cache.bytes", c.Cache.bytes);
+      ("serve.inflight", inflight t);
+      ("serve.events.subscribers", subscribers t);
+    ];
   (* The drop counters must exist from the first scrape, not from the
      first drop. *)
   Obs.Metrics.incr ~registry:r ~by:0 "access_log.dropped";
@@ -299,19 +251,18 @@ let metrics_body t =
       List.iter
         (fun name ->
           let labels = [ ("endpoint", name); ("window", wlabel) ] in
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.req_per_s" labels)
-            (Obs.Window.rate t.window ~window_s name);
           let q = Obs.Window.quantiles t.window ~window_s name in
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p50_us" labels)
-            q.Obs.Window.q_p50;
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p95_us" labels)
-            q.Obs.Window.q_p95;
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p99_us" labels)
-            q.Obs.Window.q_p99)
+          List.iter
+            (fun (series, v) ->
+              Obs.Metrics.set_gauge ~registry:r
+                (Obs.Openmetrics.labeled ("serve.rolling." ^ series) labels)
+                v)
+            [
+              ("req_per_s", Obs.Window.rate t.window ~window_s name);
+              ("p50_us", q.Obs.Window.q_p50);
+              ("p95_us", q.Obs.Window.q_p95);
+              ("p99_us", q.Obs.Window.q_p99);
+            ])
         (Obs.Window.names t.window ~window_s:(Obs.Window.max_window_s t.window)))
     Obs.Window.default_windows;
   Obs.Openmetrics.render (Obs.Metrics.snapshot ~registry:r ())
@@ -328,58 +279,18 @@ let healthz_body t =
        [
          ("status", Json.String "ok");
          ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
-         ("inflight", Json.Int (Atomic.get t.inflight_count));
-         ("requests", Json.Int (Atomic.get t.request_count));
+         ("inflight", Json.Int (inflight t));
+         ("requests", Json.Int t.requests);
          ("pool", Json.Int t.config.pool);
        ])
   ^ "\n"
 
-let method_not_allowed allow =
-  let status, ct, body = json_error 405 "method not allowed" in
-  reply ~headers:[ ("Allow", allow) ] status ct body
-
 let trace_route = "/api/trace/"
 
-(* Route one decoded request to a reply.  [/events] never reaches this
-   point — the conversation loop hands it to the hub. *)
-let handle t ~request_id ~trace_id (req : Http.request) =
-  match Api.endpoint_of_path req.Http.path with
-  | Some endpoint ->
-      if req.Http.meth = "POST" then compute t ~request_id ~trace_id endpoint req
-      else method_not_allowed "POST"
-  | None -> (
-      match (req.Http.meth, req.Http.path) with
-      | "GET", "/healthz" -> reply 200 "application/json" (healthz_body t)
-      | "GET", "/metrics" ->
-          reply 200 "application/openmetrics-text; version=1.0.0; charset=utf-8"
-            (metrics_body t)
-      | "GET", "/journal" -> reply 200 "application/json" (journal_body t)
-      | "GET", "/dashboard" -> reply 200 "text/html; charset=utf-8" (Dashboard.page ())
-      | "GET", "/api/windows" ->
-          reply 200 "application/json"
-            (Json.to_string (Obs.Window.to_json t.window) ^ "\n")
-      | "GET", path when String.starts_with ~prefix:trace_route path -> (
-          let id =
-            String.sub path (String.length trace_route)
-              (String.length path - String.length trace_route)
-          in
-          match Trace_store.find t.traces id with
-          | Some payload -> reply 200 "application/json" (payload ^ "\n")
-          | None -> reply_error 404 ("no retained trace for request " ^ id))
-      | _, ("/healthz" | "/metrics" | "/journal" | "/dashboard" | "/api/windows")
-        ->
-          method_not_allowed "GET"
-      | _, path when String.starts_with ~prefix:trace_route path ->
-          method_not_allowed "GET"
-      | ("GET" | "HEAD" | "POST"), _ -> reply_error 404 "no such route"
-      | _ ->
-          let status, ct, body = json_error 405 "method not allowed" in
-          reply ~headers:[ ("Allow", "GET, POST") ] status ct body)
-
-(* Endpoint label for window series, access entries and labeled
-   counters: the request path for known routes, "other" for noise —
-   labels must stay low-cardinality, so the raw path of a 404 never
-   becomes one. *)
+(* Endpoint label for routing, window series, access entries and
+   labeled counters: the request path for known routes, "other" for
+   noise — labels must stay low-cardinality, so the raw path of a 404
+   never becomes one. *)
 let endpoint_label (req : Http.request) =
   match Api.endpoint_of_path req.Http.path with
   | Some e -> "/api/" ^ Api.endpoint_name e
@@ -391,25 +302,50 @@ let endpoint_label (req : Http.request) =
       | p when String.starts_with ~prefix:trace_route p -> "/api/trace"
       | _ -> "other")
 
-(* The post-send fan-out: lifetime metrics, rolling window, root
-   journal, access log, SSE.  Everything here is an in-memory append
-   under a short lock — the two sinks that do real I/O (log file, SSE
-   peers) run on their own domains and absorb or drop. *)
+(* Route one decoded request to a reply.  [/events] never reaches this
+   point — {!dispatch} turns it into a streaming connection. *)
+let handle t ~request_id ~trace_id (req : Http.request) =
+  let json body = reply 200 "application/json" body in
+  match (Api.endpoint_of_path req.Http.path, req.Http.meth) with
+  | Some endpoint, "POST" -> compute t ~request_id ~trace_id endpoint req
+  | Some _, _ -> method_not_allowed "POST"
+  | None, meth -> (
+      match (endpoint_label req, meth) with
+      | "/healthz", "GET" -> json (healthz_body t)
+      | "/metrics", "GET" ->
+          reply 200 "application/openmetrics-text; version=1.0.0; charset=utf-8"
+            (metrics_body t)
+      | "/journal", "GET" -> json (journal_body t)
+      | "/dashboard", "GET" -> reply 200 "text/html; charset=utf-8" (Dashboard.page ())
+      | "/api/windows", "GET" -> json (Json.to_string (Obs.Window.to_json t.window) ^ "\n")
+      | "/api/trace", "GET" -> (
+          let n = String.length trace_route in
+          let id = String.sub req.Http.path n (String.length req.Http.path - n) in
+          match Trace_store.find t.traces id with
+          | Some payload -> json (payload ^ "\n")
+          | None -> reply_error 404 ("no retained trace for request " ^ id))
+      | "other", ("GET" | "HEAD" | "POST") -> reply_error 404 "no such route"
+      | "other", _ -> method_not_allowed "GET, POST"
+      | _ -> method_not_allowed "GET")
+
+(* The post-reply fan-out, on the loop: lifetime metrics, rolling
+   window, root journal, access log, SSE.  Everything here is an
+   in-memory append — the access log's writer domain does the disk I/O,
+   and SSE frames wait in subscriber outboxes or are dropped. *)
 let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
   let r = t.root.Obs.Context.metrics in
   let ep = endpoint_label req in
-  observe_request t
-    ~endpoint:
-      (match Api.endpoint_of_path req.Http.path with
-      | Some e -> Api.endpoint_name e
-      | None -> "other")
-    ~status:rep.r_status
-    ~cache_state:
-      (match rep.r_cache with
-      | "hit" -> Some true
-      | "miss" -> Some false
-      | _ -> None)
-    ~dur_us;
+  let incr name = Obs.Metrics.incr ~registry:r name in
+  incr "serve.requests";
+  incr (Printf.sprintf "serve.status.%dxx" (rep.r_status / 100));
+  incr
+    ("serve.endpoint."
+    ^
+    match Api.endpoint_of_path req.Http.path with
+    | Some e -> Api.endpoint_name e
+    | None -> "other");
+  if rep.r_cache <> "-" then incr ("serve.cache." ^ rep.r_cache);
+  Obs.Metrics.observe ~registry:r "serve.request_us" dur_us;
   Obs.Metrics.incr ~registry:r
     (Obs.Openmetrics.labeled "serve.requests"
        [ ("endpoint", ep); ("status", string_of_int rep.r_status) ]);
@@ -441,17 +377,16 @@ let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
           (Json.Obj (("ts", Json.Float (Unix.gettimeofday ())) :: fields))
       in
       if not (Access_log.append log line) then
-        Obs.Metrics.incr ~registry:r "access_log.dropped"
+        incr "access_log.dropped"
   | None -> ());
   let drops =
-    Events_hub.publish t.hub
+    Loop.publish t.loop
       (Sse.frame ~name:"request" (Json.to_string (Json.Obj fields)))
   in
   if drops > 0 then Obs.Metrics.incr ~registry:r ~by:drops "serve.events.dropped"
 
-(* [/events]: write the response head and hello frame into the hub's
-   outbox and hand the socket over — the conversation (and its worker
-   slot) ends here, the pump domain owns the fd from now on. *)
+(* [/events]: the response head and hello frame, the first bytes of a
+   streaming connection. *)
 let sse_greeting t ~request_id =
   let head =
     String.concat "\r\n"
@@ -477,143 +412,75 @@ let sse_greeting t ~request_id =
   in
   head ^ Sse.frame ~name:"hello" hello
 
-(* The whole conversation on one accepted connection: decode (with
-   pipelining — a second buffered request surfaces on the next [next]),
-   dispatch, reply, loop while keep-alive.  A codec error is terminal
-   for the connection: framing is lost, answer once and close.
-   Returns [`Hijacked] when the fd now belongs to the events hub. *)
-let conversation t fd =
-  let dec = Http.decoder ~max_body:t.config.max_body () in
-  let buf = Bytes.create 8192 in
-  let rec loop () =
-    match Http.next dec with
-    | `Request req ->
-        let t0 = Unix.gettimeofday () in
-        let request_id = Atomic.fetch_and_add t.request_count 1 in
-        (* Join the caller's trace or start one; either way the
-           response carries this hop's own parent-id. *)
-        let tp =
-          match Option.bind (Http.header req "traceparent") Traceparent.parse with
-          | Some inbound -> Traceparent.child inbound
-          | None -> Traceparent.generate ()
+(* A server bug must cost one 500, not a dead worker or loop. *)
+let guarded t f =
+  try f ()
+  with e ->
+    Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics "serve.internal_errors";
+    reply_error 500 ("internal error: " ^ Printexc.to_string e)
+
+(* The 503 for a connection past [max_inflight] ([serve.rejected]) or a
+   subscriber past the hub's cap ([serve.events.rejected]). *)
+let overloaded (root : Obs.Context.t) counter =
+  Obs.Metrics.incr ~registry:root.Obs.Context.metrics counter;
+  Http.response ~headers:[ ("Retry-After", "1") ] ~close:true ~status:503 overload_body
+
+(* One decoded request, on the loop.  The latency every sink records
+   runs from the request's first byte to its reply being written, so
+   it includes the wait for a worker. *)
+let dispatch t c = function
+  | Error e ->
+      Loop.respond t.loop c
+        (Http.response ~close:true ~status:(Http.error_status e)
+           (json_error (Http.error_message e)))
+        ~close:true
+  | Ok req ->
+      let arrived = Loop.arrived c in
+      let request_id = t.requests in
+      t.requests <- t.requests + 1;
+      (* Join the caller's trace or start one; either way the response
+         carries this hop's own parent-id. *)
+      let tp =
+        match Option.bind (Http.header req "traceparent") Traceparent.parse with
+        | Some inbound -> Traceparent.child inbound
+        | None -> Traceparent.generate ()
+      in
+      let trace_id = tp.Traceparent.trace_id in
+      (* Runs wherever the reply was computed: render the bytes there. *)
+      let render rep =
+        let close = Loop.stopping t.loop || not (Http.keep_alive req) in
+        let bytes =
+          Http.response
+            ~headers:
+              (rep.r_headers
+              @ [
+                  ("X-Request-Id", string_of_int request_id);
+                  ("traceparent", Traceparent.to_string tp);
+                ])
+            ~content_type:rep.r_content_type ~close ~status:rep.r_status rep.r_body
         in
-        if req.Http.meth = "GET" && req.Http.path = "/events" then
-          if Events_hub.subscribe t.hub fd ~greeting:(sse_greeting t ~request_id)
-          then `Hijacked
-          else begin
-            Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics
-              "serve.events.rejected";
-            send fd
-              (Http.response
-                 ~headers:[ ("Retry-After", "1") ]
-                 ~close:true ~status:503 overload_body);
-            `Done
-          end
-        else begin
-          let rep = handle t ~request_id ~trace_id:tp.Traceparent.trace_id req in
-          let close = Atomic.get t.stopping || not (Http.keep_alive req) in
-          send fd
-            (Http.response
-               ~headers:
-                 (rep.r_headers
-                 @ [
-                     ("X-Request-Id", string_of_int request_id);
-                     ("traceparent", Traceparent.to_string tp);
-                   ])
-               ~content_type:rep.r_content_type ~close ~status:rep.r_status
-               rep.r_body);
-          record_access t req rep ~request_id ~tp
-            ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6);
-          if close then `Done else loop ()
-        end
-    | `Error e ->
-        let status = Http.error_status e in
-        let _, content_type, body = json_error status (Http.error_message e) in
-        send fd (Http.response ~content_type ~close:true ~status body);
-        `Done
-    | `Await -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> `Done (* peer closed *)
-        | n ->
-            Http.feed dec (Bytes.sub_string buf 0 n);
-            loop ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            (* idle past the read timeout *)
-            `Done)
-  in
-  loop ()
-
-let handle_connection t fd =
-  let hijacked = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !hijacked then (try Unix.close fd with Unix.Unix_error _ -> ());
-      Atomic.decr t.inflight_count)
-    (fun () ->
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.timeout_s
-       with Unix.Unix_error _ -> ());
-      match conversation t fd with
-      | `Hijacked -> hijacked := true
-      | `Done -> ()
-      | exception Unix.Unix_error _ -> () (* torn connection: nothing to answer *)
-      | exception e ->
-          (* Anything else is a server bug — but it must cost one 500,
-             not a silently dead worker domain. *)
-          Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics
-            "serve.internal_errors";
-          let _, content_type, body =
-            json_error 500 ("internal error: " ^ Printexc.to_string e)
-          in
-          send fd (Http.response ~content_type ~close:true ~status:500 body))
-
-(* Admission control lives here, before any worker is involved: beyond
-   [max_inflight] open connections the reply is an immediate 503 with
-   Retry-After — overload must degrade to fast rejection, not to a
-   growing queue. *)
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept ~cloexec:true t.listener with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-        () (* listener closed: stop *)
-    | exception Unix.Unix_error (_, _, _) ->
-        if Atomic.get t.stopping then () else loop ()
-    | fd, _addr ->
-        if Atomic.get t.stopping then (
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          loop ())
-        else if Atomic.get t.inflight_count >= t.config.max_inflight then begin
-          Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics "serve.rejected";
-          send fd
-            (Http.response
-               ~headers:[ ("Retry-After", "1") ]
-               ~close:true ~status:503 overload_body);
-          (* Half-close and drain what the peer already sent: closing
-             with unread request bytes in the receive buffer makes TCP
-             answer with RST, which can destroy the 503 before the
-             client reads it.  The drain is bounded by SO_RCVTIMEO. *)
-          (try
-             Unix.shutdown fd Unix.SHUTDOWN_SEND;
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2;
-             let junk = Bytes.create 4096 in
-             while Unix.read fd junk 0 4096 > 0 do
-               ()
-             done
-           with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          loop ()
-        end
-        else begin
-          Atomic.incr t.inflight_count;
-          if not (Pool.submit t.workers (fun () -> handle_connection t fd)) then
-            (* sequential pool (--pool 0): serve on the acceptor *)
-            handle_connection t fd;
-          loop ()
-        end
-  in
-  loop ()
+        (rep, bytes, close)
+      in
+      let finish (rep, bytes, close) =
+        Loop.respond t.loop c bytes ~close;
+        record_access t req rep ~request_id ~tp
+          ~dur_us:((Unix.gettimeofday () -. arrived) *. 1e6)
+      in
+      if req.Http.meth = "GET" && req.Http.path = "/events" then begin
+        if not (Loop.stream t.loop c ~greeting:(sse_greeting t ~request_id)) then
+          Loop.respond t.loop c (overloaded t.root "serve.events.rejected") ~close:true
+      end
+      else
+        match Api.endpoint_of_path req.Http.path with
+        | Some endpoint when req.Http.meth = "POST" ->
+            let work () =
+              render (guarded t (fun () -> compute t ~request_id ~trace_id endpoint req))
+            in
+            if not (Pool.submit t.workers (fun () ->
+                        let out = work () in
+                        Loop.post t.loop (fun () -> finish out)))
+            then (* --pool 0: compute on the loop *) finish (work ())
+        | _ -> finish (render (guarded t (fun () -> handle t ~request_id ~trace_id req)))
 
 let start ?(config = default_config) () =
   (* A peer that disappears mid-reply must not kill the daemon. *)
@@ -627,46 +494,44 @@ let start ?(config = default_config) () =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> config.port
   in
+  let root = Obs.Context.create ~trace:false () in
   let window = Obs.Window.create () in
-  let hub =
-    Events_hub.create
-      ~heartbeat:(fun () ->
-        Sse.frame ~name:"window" (Json.to_string (Obs.Window.to_json window)))
-      ()
-  in
   let t =
     {
       config;
-      listener;
       bound_port;
-      root = Obs.Context.create ~trace:false ();
+      root;
       root_lock = Mutex.create ();
       cache = Cache.create ~max_bytes:(config.cache_mb * 1024 * 1024);
-      (* +1: the owner (acceptor) never helps drain, so [pool] real
-         worker domains require a pool of size [pool + 1]. *)
+      (* +1: the owner (the domain calling [start]) never helps drain,
+         so [pool] real worker domains require a pool of size
+         [pool + 1]. *)
       workers = Pool.create ~domains:(config.pool + 1) ();
-      inflight_count = Atomic.make 0;
-      request_count = Atomic.make 0;
-      stopping = Atomic.make false;
+      loop =
+        Loop.create ~listener ~max_inflight:config.max_inflight
+          ~read_timeout_s:config.timeout_s ~max_body:config.max_body
+          ~overloaded:(fun () -> overloaded root "serve.rejected")
+          ~heartbeat:(fun () ->
+            Sse.frame ~name:"window" (Json.to_string (Obs.Window.to_json window)))
+          ();
+      requests = 0;
       started_at = Unix.gettimeofday ();
       window;
       traces = Trace_store.create ();
-      hub;
       access = Option.map (fun path -> Access_log.create ~path) config.access_log;
-      acceptor = None;
+      io = None;
     }
   in
-  t.acceptor <- Some (Domain.spawn (fun () -> accept_loop t));
+  t.io <- Some (Domain.spawn (fun () -> Loop.run t.loop (dispatch t)));
   t
 
+(* Stop accepting, let in-flight requests finish and their replies
+   leave, then join the loop and the pool. *)
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (match t.acceptor with Some d -> Domain.join d | None -> ());
-    t.acceptor <- None;
+  if Loop.stop t.loop then begin
+    Option.iter Domain.join t.io;
+    t.io <- None;
     Pool.shutdown t.workers;
-    Events_hub.stop t.hub;
+    Loop.close_all t.loop;
     Option.iter Access_log.close t.access
   end

@@ -2,13 +2,13 @@
     service over the whole flow, on nothing but [Unix] sockets and
     domains.
 
-    One acceptor domain owns the listening socket; every accepted
-    connection is handed to the {!Umlfront_parallel.Pool} as a
-    fire-and-forget task ({!Umlfront_parallel.Pool.submit}) and handled
-    there end to end — keep-alive loop, pipelining, per-request
-    telemetry.  Admission control happens at accept time: once
-    [max_inflight] connections are in flight the server answers
-    [503 Service Unavailable] with [Retry-After] and closes, so
+    One I/O domain runs a single [Unix.select] loop ({!Loop}) that owns
+    every socket: accept, admission control, incremental HTTP decode,
+    keep-alive and pipelining, every response write and the [/events]
+    streams.  Only complete compute requests ([POST /api/*]) go to the
+    {!Umlfront_parallel.Pool}; the worker posts the rendered reply back
+    to the loop.  Once [max_inflight] connections are open the server
+    answers [503 Service Unavailable] with [Retry-After] at accept, so
     overload degrades to fast rejection, never to a hang.
 
     Endpoints:
@@ -26,7 +26,7 @@
       request ID (kept when the request said [?trace=1] or fell in
       [trace_sample]);
     - [GET /events] — an SSE stream of request events and window
-      snapshots (the heartbeat), served by a dedicated pump domain;
+      snapshots (the heartbeat), streamed by the loop;
     - [GET /dashboard] — a self-contained live HTML view over
       [/events].
 
@@ -49,10 +49,18 @@
 
 type config = {
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
-  pool : int;  (** worker domains handling connections (>= 0) *)
+  pool : int;
+      (** worker domains computing [POST /api/*] requests (>= 0; 0
+          computes on the I/O loop) *)
   cache_mb : int;  (** response cache budget; [<= 0] disables *)
-  max_inflight : int;  (** admission-control bound on open connections *)
-  timeout_s : float;  (** per-request compute deadline, and socket read timeout *)
+  max_inflight : int;
+      (** admission-control bound on open connections; beyond 1,000
+          open sockets new connections are closed unanswered, since
+          [select] cannot watch them *)
+  timeout_s : float;
+      (** per-request compute deadline, and the read deadline: a
+          connection that has not completed a request within
+          [timeout_s] of accept or of its previous reply is closed *)
   max_body : int;  (** request-body bound (413 beyond it) *)
   access_log : string option;  (** JSONL access-log path; [None] disables *)
   trace_sample : float;
@@ -67,16 +75,15 @@ val default_config : config
 type t
 
 val start : ?config:config -> unit -> t
-(** Bind [127.0.0.1], spawn the pool and the acceptor domain, return
-    once the socket is listening (so a client may connect
-    immediately). *)
+(** Bind [127.0.0.1], spawn the pool and the I/O domain, return once
+    the socket is listening (so a client may connect immediately). *)
 
 val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)
 
 val stop : t -> unit
-(** Close the listener, join the acceptor, drain and join the pool.
-    Idempotent.  In-flight requests finish; no new ones are accepted. *)
+(** Close the listener, let in-flight requests finish and their replies
+    leave, then join the I/O domain and the pool.  Idempotent. *)
 
 val root : t -> Umlfront_obs.Context.t
 (** The server's root telemetry context — every request's metrics and
@@ -85,6 +92,7 @@ val root : t -> Umlfront_obs.Context.t
 
 val cache_stats : t -> Cache.stats
 val inflight : t -> int
+(** Open connections, [/events] subscribers excluded. *)
 
 val window : t -> Umlfront_obs.Window.t
 (** The rolling window every request is recorded into (per-endpoint

@@ -9,7 +9,6 @@ type t = {
   capacity : int;
   table : (string, string) Hashtbl.t;
   order : string Queue.t; (* insertion order, front = oldest *)
-  mutable evicted : int;
   lock : Mutex.t;
 }
 
@@ -19,35 +18,20 @@ let create ?(capacity = 128) () =
     capacity;
     table = Hashtbl.create 64;
     order = Queue.create ();
-    evicted = 0;
     lock = Mutex.create ();
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let add t ~id payload =
   locked t @@ fun () ->
   if not (Hashtbl.mem t.table id) then begin
     while Queue.length t.order >= t.capacity do
       let victim = Queue.pop t.order in
-      Hashtbl.remove t.table victim;
-      t.evicted <- t.evicted + 1
+      Hashtbl.remove t.table victim
     done;
     Hashtbl.replace t.table id payload;
     Queue.add id t.order
   end
 
 let find t id = locked t @@ fun () -> Hashtbl.find_opt t.table id
-
-let ids t = locked t @@ fun () -> List.of_seq (Queue.to_seq t.order)
-
-let size t = locked t @@ fun () -> Queue.length t.order
-let evicted t = locked t @@ fun () -> t.evicted

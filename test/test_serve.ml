@@ -29,7 +29,7 @@ module Server = Umlfront_serve.Server
 module Client = Umlfront_serve.Serve_client
 module Sse = Umlfront_serve.Sse
 module Traceparent = Umlfront_serve.Traceparent
-module Events_hub = Umlfront_serve.Events_hub
+module Loop = Umlfront_serve.Loop
 module A = Umlfront_analysis
 module Conf = Umlfront_conformance.Conform
 module R = Umlfront_casestudies.Random_models
@@ -616,6 +616,117 @@ let e2e_tests =
         checkb "lint answered before transform" (first_at < second_at);
         checkb "two status lines"
           (Astring_contains.count all "HTTP/1.1 200 OK" = 2));
+    test "idle and trickling sockets cannot starve the daemon" (fun () ->
+        with_server
+          ~config:{ Server.default_config with Server.pool = 1; timeout_s = 1.0 }
+        @@ fun s ->
+        let connect () =
+          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s));
+          fd
+        in
+        let idle = List.init 3 (fun _ -> connect ()) in
+        (* One header byte every 50 ms, until the server closes on it:
+           returns how long the trickler was kept. *)
+        let trickler =
+          Domain.spawn (fun () ->
+              let fd = connect () in
+              let t0 = Unix.gettimeofday () in
+              let head = "GET /healthz HTTP/1.1\r\nX-Pad: " ^ String.make 200 'a' in
+              let byte = Bytes.create 1 in
+              let rec go i =
+                match Unix.select [ fd ] [] [] 0.05 with
+                | [], _, _ when i < String.length head -> (
+                    match Unix.write_substring fd head i 1 with
+                    | _ -> go (i + 1)
+                    | exception Unix.Unix_error _ -> Unix.gettimeofday () -. t0)
+                | [], _, _ -> infinity
+                | _ -> (
+                    match Unix.read fd byte 0 1 with
+                    | 0 -> Unix.gettimeofday () -. t0
+                    | _ -> go i
+                    | exception Unix.Unix_error _ -> Unix.gettimeofday () -. t0)
+              in
+              let kept = go 0 in
+              Unix.close fd;
+              kept)
+        in
+        let rec wait n =
+          if Server.inflight s < 4 && n > 0 then (
+            Unix.sleepf 0.01;
+            wait (n - 1))
+        in
+        wait 100;
+        check Alcotest.int "all four held" 4 (Server.inflight s);
+        let healthz () =
+          let t0 = Unix.gettimeofday () in
+          check Alcotest.int "healthz 200" 200 (get s "/healthz").Client.status;
+          Unix.gettimeofday () -. t0
+        in
+        let times = List.init 3 (fun _ -> healthz ()) in
+        checkb "no healthz waits for a read deadline"
+          (List.for_all (fun dt -> dt < 1.0) times);
+        checkb "healthz answers in < 50 ms"
+          (List.fold_left Float.min infinity times < 0.05);
+        let kept = Domain.join trickler in
+        checkb
+          (Printf.sprintf "trickler closed at its 1 s deadline (kept %.2f s)" kept)
+          (kept >= 0.9 && kept < 3.0);
+        List.iter Unix.close idle;
+        let rec drain n =
+          if Server.inflight s > 0 && n > 0 then (
+            Unix.sleepf 0.01;
+            drain (n - 1))
+        in
+        drain 300;
+        check Alcotest.int "inflight back to 0" 0 (Server.inflight s));
+    test "queue wait is part of the recorded latency" (fun () ->
+        with_server ~config:{ Server.default_config with Server.pool = 1 } @@ fun s ->
+        let slow_xmi = U.Xmi.to_string (CS.Synthetic_system.model ()) in
+        let slow =
+          Domain.spawn (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let r = post s "/api/simulate?rounds=10000" slow_xmi in
+              (r.Client.status, Unix.gettimeofday () -. t0))
+        in
+        (* Wait until the slow request's connection was accepted, then
+           give its bytes time to arrive: the lint must queue behind it. *)
+        let rec wait n =
+          if Server.inflight s < 1 && n > 0 then (
+            Unix.sleepf 0.005;
+            wait (n - 1))
+        in
+        wait 400;
+        Unix.sleepf 0.05;
+        let t0 = Unix.gettimeofday () in
+        let r = post s "/api/lint" (Lazy.force didactic_xmi) in
+        let client_us = (Unix.gettimeofday () -. t0) *. 1e6 in
+        check Alcotest.int "lint 200" 200 r.Client.status;
+        let slow_status, slow_s = Domain.join slow in
+        check Alcotest.int "slow simulate 200" 200 slow_status;
+        checkb (Printf.sprintf "simulate is slow (%.3f s)" slow_s) (slow_s >= 0.2);
+        checkb
+          (Printf.sprintf "lint waited behind it (%.0f us)" client_us)
+          (client_us >= 100_000.);
+        let id = int_of_string (Option.get (Client.request_id r)) in
+        let latency =
+          List.find_map
+            (fun e ->
+              match Json.member "fields" e with
+              | Some f when Json.member "id" f = Some (Json.Int id) -> (
+                  match Json.member "latency_us" f with
+                  | Some (Json.Float us) -> Some us
+                  | _ -> None)
+              | _ -> None)
+            (Json.items (Json.parse_exn (get s "/journal").Client.body))
+        in
+        match latency with
+        | None -> Alcotest.fail "no serve.access entry for the lint"
+        | Some us ->
+            checkb
+              (Printf.sprintf "server latency %.0f us >= half the client's %.0f us" us
+                 client_us)
+              (us >= client_us /. 2.));
   ]
 
 (* --- the hammer ------------------------------------------------------ *)
@@ -886,50 +997,57 @@ let traceparent_roundtrip_prop =
     (QCheck.Test.make ~name:"traceparent to_string/parse round-trips" ~count:200 gen
        (fun t -> Traceparent.parse (Traceparent.to_string t) = Some t))
 
-(* The hub in isolation, over a socketpair: frames reach a reading
-   subscriber, an outbox too small for the frame drops it (and counts
-   it) instead of blocking, and the subscriber cap holds. *)
+(* The loop's subscriber path in isolation, over a socketpair and
+   driven turn by turn on this domain: frames reach a reading
+   subscriber after its greeting, an outbox too small for the frame
+   drops it (and counts it) instead of blocking, and the subscriber cap
+   holds. *)
 let events_hub_delivery_and_drops () =
-  let hub =
-    Events_hub.create ~max_subs:1 ~max_outbox:48 ~heartbeat_s:60.0
+  let loop =
+    Loop.create ~max_subs:1 ~max_outbox:48 ~heartbeat_s:60.0
       ~heartbeat:(fun () -> Sse.comment "hb")
       ()
   in
-  Fun.protect ~finally:(fun () -> Events_hub.stop hub)
+  let turn () = Loop.turn ~max_wait:0.05 loop (fun _ _ -> ()) in
+  Fun.protect ~finally:(fun () -> Loop.close_all loop)
   @@ fun () ->
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
   @@ fun () ->
-  checkb "subscribed" (Events_hub.subscribe hub a ~greeting:"hello\n\n");
-  check Alcotest.int "one subscriber" 1 (Events_hub.subscribers hub);
+  checkb "subscribed" (Loop.stream loop (Loop.adopt loop a) ~greeting:"hello\n\n");
+  check Alcotest.int "one subscriber" 1 (Loop.subscribers loop);
   let c, d = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   checkb "cap refuses a second subscriber"
-    (not (Events_hub.subscribe hub c ~greeting:""));
-  Unix.close c;
+    (not (Loop.stream loop (Loop.adopt loop c) ~greeting:""));
   Unix.close d;
   check Alcotest.int "small frame delivered to every outbox" 0
-    (Events_hub.publish hub (Sse.frame "ping"));
-  (* Read until both greeting and frame came through the pump. *)
-  (try Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.0 with Unix.Unix_error _ -> ());
+    (Loop.publish loop (Sse.frame "ping"));
+  (* Turn the loop until greeting and frame came through. *)
+  Unix.set_nonblock b;
   let buf = Bytes.create 1024 in
   let acc = Buffer.create 64 in
-  let rec drain () =
-    if not (Astring_contains.contains (Buffer.contents acc) "data: ping") then (
-      let n = Unix.read b buf 0 (Bytes.length buf) in
-      if n > 0 then (
-        Buffer.add_subbytes acc buf 0 n;
-        drain ()))
+  let rec drain n =
+    if n > 0 && not (Astring_contains.contains (Buffer.contents acc) "data: ping")
+    then begin
+      turn ();
+      (match Unix.read b buf 0 (Bytes.length buf) with
+      | k -> Buffer.add_subbytes acc buf 0 k
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+      drain (n - 1)
+    end
   in
-  (try drain () with Unix.Unix_error _ -> ());
+  drain 100;
   let got = Buffer.contents acc in
-  checkb "greeting written first" (Astring_contains.contains got "hello");
-  checkb "published frame pumped out" (Astring_contains.contains got "data: ping");
+  let hello_at = Astring_contains.find got "hello" in
+  let ping_at = Astring_contains.find got "data: ping" in
+  checkb "greeting written first" (hello_at >= 0 && hello_at < ping_at);
+  checkb "published frame written out" (ping_at >= 0);
   (* A frame bigger than the whole outbox can never be queued: dropped
      and counted, publish does not block. *)
   check Alcotest.int "oversized frame dropped for the one subscriber" 1
-    (Events_hub.publish hub (Sse.frame (String.make 100 'x')));
-  check Alcotest.int "drop counted" 1 (Events_hub.dropped hub)
+    (Loop.publish loop (Sse.frame (String.make 100 'x')));
+  check Alcotest.int "drop counted" 1 (Loop.dropped loop)
 
 let obs_unit_tests =
   [
